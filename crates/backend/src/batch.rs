@@ -1,6 +1,6 @@
 //! Batched, weight-reusing network execution — the serving entry point.
 //!
-//! [`execute_graph`](crate::execute_graph) regenerates every operator's
+//! [`execute_graph`](crate::execute_graph) precomputes every operator's
 //! deterministic weights on each call, which is fine for one-off
 //! verification but wasteful when a serving runtime executes the same
 //! network for every incoming batch. This module precomputes the weights
@@ -16,16 +16,15 @@
 //! through [`crate::execute_graph`]: every operator treats batch items
 //! independently and in the same order.
 
-use crate::arena::ScratchPool;
+use crate::arena::{global_pool, Arena, ScratchPool};
 use crate::executor::{
-    execute_graph_pooled, execute_graph_with, execute_schedule_pooled,
-    execute_schedule_pooled_serial, execute_schedule_with, relu_fold_plan, weight_seed, FoldedRelu,
+    execute_graph_pooled, execute_schedule_pooled, relu_fold_plan, weight_seed, FoldedRelu,
 };
-use crate::gemm::{PackedFilter, QuantizedFilter};
+use crate::gemm::{conv2d_im2col_packed, conv2d_im2col_quant, PackedFilter, QuantizedFilter};
 use crate::ops_cpu::{conv_weights, matmul_weights, sep_conv_seeds};
 use crate::tensor_data::TensorData;
 use ios_core::{MergedConv, NetworkSchedule};
-use ios_ir::{Graph, Network, OpId, OpKind, OpSet, TensorShape, Value};
+use ios_ir::{Conv2dParams, Graph, Network, OpId, OpKind, OpSet, TensorShape, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,42 +44,140 @@ pub enum WeightPrecision {
     Int8,
 }
 
-/// Precomputed weights of one operator. Convolution filters are
-/// pre-packed into the GEMM microkernel's tile-major layout
-/// ([`PackedFilter`]) — or, under [`WeightPrecision::Int8`], quantized
-/// into pair-interleaved int8 panels ([`QuantizedFilter`]) at a quarter
-/// of the footprint — so the serving hot path streams `A` contiguously.
-/// Exactly one of the two kernel forms is held per conv. Dense
-/// convolutions additionally keep the natural layout, which the merge
-/// stage stacks into merged kernels (separable convolutions are never
-/// merged, so storing their natural filters would only double the weight
-/// memory).
+/// One convolution filter in the single kernel form its
+/// [`WeightPrecision`] selects.
+#[derive(Debug, Clone)]
+pub enum ConvKernel {
+    /// f32 tile-major packed panels ([`PackedFilter`]).
+    Packed(PackedFilter),
+    /// Int8 pair-interleaved panels with per-output-channel scales
+    /// ([`QuantizedFilter`]), a quarter of the f32 footprint.
+    Quantized(QuantizedFilter),
+}
+
+impl ConvKernel {
+    /// Builds the kernel form of `precision` from a filter in the natural
+    /// `[out_c][in_c/g][kh][kw]` layout (`k_len` values per output
+    /// channel).
+    fn new(
+        filter: &[f32],
+        out_channels: usize,
+        groups: usize,
+        k_len: usize,
+        precision: WeightPrecision,
+    ) -> Self {
+        match precision {
+            WeightPrecision::F32 => {
+                ConvKernel::Packed(PackedFilter::pack(filter, out_channels, groups, k_len))
+            }
+            WeightPrecision::Int8 => ConvKernel::Quantized(QuantizedFilter::quantize(
+                filter,
+                out_channels,
+                groups,
+                k_len,
+            )),
+        }
+    }
+
+    /// Runs the convolution `params` over `input` with this filter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the filter does not match the convolution's geometry.
+    pub(crate) fn conv(
+        &self,
+        input: &TensorData,
+        params: &Conv2dParams,
+        arena: &impl Arena,
+    ) -> TensorData {
+        match self {
+            ConvKernel::Packed(p) => conv2d_im2col_packed(input, params, p, arena),
+            ConvKernel::Quantized(q) => conv2d_im2col_quant(input, params, q, arena),
+        }
+    }
+
+    /// Number of logical weight parameters (`out_channels · k_len`).
+    fn num_weights(&self) -> usize {
+        match self {
+            ConvKernel::Packed(p) => p.num_weights(),
+            ConvKernel::Quantized(q) => q.num_weights(),
+        }
+    }
+
+    /// Adds the bytes this filter holds to `fp`.
+    fn add_footprint(&self, fp: &mut WeightFootprint) {
+        match self {
+            ConvKernel::Packed(p) => fp.f32_bytes += p.num_elements() * std::mem::size_of::<f32>(),
+            ConvKernel::Quantized(q) => fp.int8_bytes += q.footprint_bytes(),
+        }
+    }
+}
+
+/// Precomputed weights of one operator. Convolution filters are held in
+/// exactly one [`ConvKernel`] form — pre-packed f32 panels, or int8 panels
+/// under [`WeightPrecision::Int8`] — so the serving hot path streams `A`
+/// contiguously. Merge stages regenerate their part filters from the
+/// operator seeds when they build ([`BlockWeights::merged_stage`]), so no
+/// natural-layout filter stays resident.
 #[derive(Debug, Clone)]
 pub enum OpWeights {
     /// Dense / grouped convolution filter.
-    Conv {
-        /// Natural layout `[out_c][in_c/g][kh][kw]`.
-        filter: Vec<f32>,
-        /// The filter in tile-major packed layout (f32 precision).
-        packed: Option<PackedFilter>,
-        /// The filter quantized to int8 panels (int8 precision).
-        quantized: Option<QuantizedFilter>,
-    },
+    Conv(ConvKernel),
     /// Separable convolution: depthwise then pointwise filters. The
     /// depthwise stage always stays f32-packed (its reduction is only
     /// `kh·kw` deep); the pointwise stage — where the compute lives —
-    /// carries either the packed f32 or the quantized int8 form.
+    /// carries the precision's kernel form.
     SepConv {
         /// Depthwise k×k filter (one output channel per input channel) in
         /// tile-major packed layout.
-        depthwise_packed: PackedFilter,
-        /// Pointwise 1×1 filter in tile-major packed layout (f32).
-        pointwise_packed: Option<PackedFilter>,
-        /// Pointwise 1×1 filter quantized to int8 panels.
-        pointwise_quant: Option<QuantizedFilter>,
+        depthwise: PackedFilter,
+        /// Pointwise 1×1 filter.
+        pointwise: ConvKernel,
     },
     /// Fully connected weight matrix, layout `[out][in]`.
     MatMul(Vec<f32>),
+}
+
+/// The weights of operator `kind` fed by a tensor of `input` shape at
+/// `precision`, generated from `seed` — the one definition behind both
+/// [`BlockWeights::precompute_as`] and the ad-hoc
+/// [`crate::ops_cpu::execute_op_pooled`]. `None` for unweighted operators.
+pub(crate) fn op_weights(
+    kind: &OpKind,
+    input: TensorShape,
+    seed: u64,
+    precision: WeightPrecision,
+) -> Option<OpWeights> {
+    match kind {
+        OpKind::Conv2d(p) => {
+            let in_c = input.channels / p.groups;
+            let filter = conv_weights(seed, p.out_channels, in_c, p.kernel);
+            let k_len = in_c * p.kernel.0 * p.kernel.1;
+            Some(OpWeights::Conv(ConvKernel::new(
+                &filter,
+                p.out_channels,
+                p.groups,
+                k_len,
+                precision,
+            )))
+        }
+        OpKind::SepConv2d(p) => {
+            let in_c = input.channels;
+            let (dw_seed, pw_seed) = sep_conv_seeds(seed);
+            let depthwise = conv_weights(dw_seed, in_c, 1, p.kernel);
+            let pointwise = conv_weights(pw_seed, p.out_channels, in_c, (1, 1));
+            Some(OpWeights::SepConv {
+                depthwise: PackedFilter::pack(&depthwise, in_c, in_c, p.kernel.0 * p.kernel.1),
+                pointwise: ConvKernel::new(&pointwise, p.out_channels, 1, in_c, precision),
+            })
+        }
+        OpKind::MatMul(p) => Some(OpWeights::MatMul(matmul_weights(
+            seed,
+            p.out_features,
+            input.elements_per_item(),
+        ))),
+        OpKind::Pool(_) | OpKind::Concat | OpKind::Add | OpKind::Relu | OpKind::Identity => None,
+    }
 }
 
 /// The weights of one operator-merge stage: the per-part filters stacked
@@ -88,22 +185,20 @@ pub enum OpWeights {
 /// and cached in [`BlockWeights`].
 #[derive(Debug)]
 pub struct MergedWeights {
-    /// The merged filter in natural `[out_c][in_c][mkh][mkw]` layout.
-    pub filter: Vec<f32>,
-    /// The merged filter in tile-major packed layout.
-    pub packed: PackedFilter,
+    /// The merged filter in the block's kernel form.
+    pub kernel: ConvKernel,
 }
 
 /// Precomputed weights for every weighted operator of one graph, plus a
 /// lazily filled cache of merged-stage weights keyed by the stage's
 /// operator set — so executing the same schedule batch after batch stops
 /// rebuilding the merged tensor every time.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BlockWeights {
     by_op: Vec<Option<OpWeights>>,
     /// The block's ReLU-fold peephole plan ([`relu_fold_plan`]), computed
-    /// once at build time; empty when no weights were precomputed.
-    fold_plan: Vec<FoldedRelu>,
+    /// once at build time.
+    pub(crate) fold_plan: Vec<FoldedRelu>,
     precision: WeightPrecision,
     merged: Mutex<HashMap<OpSet, Arc<MergedWeights>>>,
     merged_builds: AtomicU64,
@@ -125,8 +220,7 @@ impl Clone for BlockWeights {
 
 impl BlockWeights {
     /// Generates the weights of every weighted operator of `graph` at f32
-    /// precision, using the same seeds as the on-the-fly path so results
-    /// stay bit-identical.
+    /// precision from the per-operator seeds.
     #[must_use]
     pub fn precompute(graph: &Graph) -> Self {
         Self::precompute_as(graph, WeightPrecision::F32)
@@ -142,88 +236,20 @@ impl BlockWeights {
             .ops()
             .iter()
             .map(|op| {
-                let seed = weight_seed(graph, op.id);
-                let input_shape = |value: Value| -> TensorShape {
-                    match value {
-                        Value::Input(i) => graph.input_shapes()[i],
-                        Value::Op(id) => graph.op(id).output_shape,
-                    }
+                let input = match op.inputs[0] {
+                    Value::Input(i) => graph.input_shapes()[i],
+                    Value::Op(id) => graph.op(id).output_shape,
                 };
-                match &op.kind {
-                    OpKind::Conv2d(p) => {
-                        let in_c = input_shape(op.inputs[0]).channels / p.groups;
-                        let k_len = in_c * p.kernel.0 * p.kernel.1;
-                        let filter = conv_weights(seed, p.out_channels, in_c, p.kernel);
-                        let (packed, quantized) = match precision {
-                            WeightPrecision::F32 => (
-                                Some(PackedFilter::pack(&filter, p.out_channels, p.groups, k_len)),
-                                None,
-                            ),
-                            WeightPrecision::Int8 => (
-                                None,
-                                Some(QuantizedFilter::quantize(
-                                    &filter,
-                                    p.out_channels,
-                                    p.groups,
-                                    k_len,
-                                )),
-                            ),
-                        };
-                        Some(OpWeights::Conv {
-                            filter,
-                            packed,
-                            quantized,
-                        })
-                    }
-                    OpKind::SepConv2d(p) => {
-                        let in_c = input_shape(op.inputs[0]).channels;
-                        let (dw_seed, pw_seed) = sep_conv_seeds(seed);
-                        let depthwise = conv_weights(dw_seed, in_c, 1, p.kernel);
-                        let depthwise_packed =
-                            PackedFilter::pack(&depthwise, in_c, in_c, p.kernel.0 * p.kernel.1);
-                        let pointwise = conv_weights(pw_seed, p.out_channels, in_c, (1, 1));
-                        let (pointwise_packed, pointwise_quant) = match precision {
-                            WeightPrecision::F32 => (
-                                Some(PackedFilter::pack(&pointwise, p.out_channels, 1, in_c)),
-                                None,
-                            ),
-                            WeightPrecision::Int8 => (
-                                None,
-                                Some(QuantizedFilter::quantize(
-                                    &pointwise,
-                                    p.out_channels,
-                                    1,
-                                    in_c,
-                                )),
-                            ),
-                        };
-                        Some(OpWeights::SepConv {
-                            depthwise_packed,
-                            pointwise_packed,
-                            pointwise_quant,
-                        })
-                    }
-                    OpKind::MatMul(p) => {
-                        let in_features = input_shape(op.inputs[0]).elements_per_item();
-                        Some(OpWeights::MatMul(matmul_weights(
-                            seed,
-                            p.out_features,
-                            in_features,
-                        )))
-                    }
-                    OpKind::Pool(_)
-                    | OpKind::Concat
-                    | OpKind::Add
-                    | OpKind::Relu
-                    | OpKind::Identity => None,
-                }
+                op_weights(&op.kind, input, weight_seed(graph, op.id), precision)
             })
             .collect();
         BlockWeights {
             by_op,
             fold_plan: relu_fold_plan(graph),
             precision,
-            ..BlockWeights::default()
+            merged: Mutex::default(),
+            merged_builds: AtomicU64::new(0),
+            merged_hits: AtomicU64::new(0),
         }
     }
 
@@ -239,38 +265,29 @@ impl BlockWeights {
         self.precision
     }
 
-    /// The build-time ReLU-fold plan, if this block was precomputed with
-    /// one (`None` for a default-constructed instance — callers then
-    /// compute the plan from the graph, which yields the identical plan).
+    /// The build-time ReLU-fold plan ([`relu_fold_plan`] of the block).
+    /// Always `Some`: every block is precomputed together with its plan.
     #[must_use]
     pub fn fold_plan(&self) -> Option<&[FoldedRelu]> {
-        if self.fold_plan.is_empty() {
-            None
-        } else {
-            Some(&self.fold_plan)
-        }
-    }
-
-    /// The convolution filter of `op` (natural layout), if it is a
-    /// convolution.
-    #[must_use]
-    pub fn conv(&self, op: OpId) -> Option<&[f32]> {
-        match self.get(op) {
-            Some(OpWeights::Conv { filter, .. }) => Some(filter),
-            _ => None,
-        }
+        Some(&self.fold_plan)
     }
 
     /// The merged-stage weights for `merged` (an operator-merge stage of a
-    /// schedule for this graph), built from the precomputed per-part
-    /// filters on first use and served from the cache afterwards — the
-    /// merge stage of [`crate::execute_schedule`] stops rebuilding the
-    /// merged tensor every batch. Keyed by the stage's operator set.
+    /// schedule for this graph): the part filters are regenerated from
+    /// their operator seeds, stacked and converted to this block's kernel
+    /// form on first use, and served from the cache afterwards — the merge
+    /// stage of [`crate::execute_schedule`] stops rebuilding the merged
+    /// tensor every batch. Keyed by the stage's operator set.
+    ///
+    /// Under [`WeightPrecision::Int8`] the stacked filter is quantized per
+    /// output channel. A zero-padded row keeps its part's max-abs scale,
+    /// so every merged weight quantizes to the integer its part's own
+    /// filter holds, and the exact i32 sums make the merged stage
+    /// byte-identical to running the parts one by one.
     ///
     /// # Panics
     ///
-    /// Panics if any merged part is not a precomputed convolution of this
-    /// block.
+    /// Panics if any merged part is not a convolution of `graph`.
     #[must_use]
     pub fn merged_stage(&self, graph: &Graph, merged: &MergedConv) -> Arc<MergedWeights> {
         let key: OpSet = merged.parts.iter().copied().collect();
@@ -278,22 +295,15 @@ impl BlockWeights {
             self.merged_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
-        let in_c = merged.input_shape.channels;
         let (mkh, mkw) = merged.params.kernel;
-        let mut filter = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
-        stack_merged_filter(graph, merged, &mut filter, |part, _| {
-            std::borrow::Cow::Borrowed(
-                self.conv(part)
-                    .expect("merged part must be a precomputed convolution"),
-            )
-        });
-        let packed = PackedFilter::pack(
-            &filter,
+        let kernel = ConvKernel::new(
+            &stack_merged_filter(graph, merged),
             merged.params.out_channels,
             merged.params.groups,
-            (in_c / merged.params.groups) * mkh * mkw,
+            (merged.input_shape.channels / merged.params.groups) * mkh * mkw,
+            self.precision,
         );
-        let built = Arc::new(MergedWeights { filter, packed });
+        let built = Arc::new(MergedWeights { kernel });
         self.merged_builds.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.merged.lock().expect("merged-weight lock");
         // Two threads may race to build the same stage; both results are
@@ -314,32 +324,24 @@ impl BlockWeights {
     }
 }
 
-/// Stacks the per-part filters of `merged` into `dst` (pre-zeroed, length
-/// `out_c · in_c · mkh · mkw`), zero-padding smaller kernels so they stay
-/// centred inside the merged kernel — the single definition both the
-/// cached ([`BlockWeights::merged_stage`]) and the regenerating
-/// (`execute_schedule` without precomputed weights) paths build from, so
-/// the two can never drift apart. `part_filter` supplies each part's
-/// filter in natural `[out_c][in_c][kh][kw]` layout.
+/// Stacks the per-part filters of `merged` into one natural-layout
+/// `[out_c][in_c][mkh][mkw]` filter, regenerating each part's filter from
+/// its operator seed and zero-padding smaller kernels so they stay centred
+/// inside the merged kernel.
 ///
 /// # Panics
 ///
 /// Panics if any merged part is not a convolution of `graph`.
-pub(crate) fn stack_merged_filter<'a>(
-    graph: &Graph,
-    merged: &MergedConv,
-    dst: &mut [f32],
-    part_filter: impl Fn(OpId, &ios_ir::Conv2dParams) -> std::borrow::Cow<'a, [f32]>,
-) {
+fn stack_merged_filter(graph: &Graph, merged: &MergedConv) -> Vec<f32> {
     let in_c = merged.input_shape.channels;
     let (mkh, mkw) = merged.params.kernel;
+    let mut dst = vec![0.0f32; merged.params.out_channels * in_c * mkh * mkw];
     let mut oc_offset = 0usize;
     for &part in &merged.parts {
-        let op = graph.op(part);
-        let OpKind::Conv2d(p) = &op.kind else {
+        let OpKind::Conv2d(p) = &graph.op(part).kind else {
             panic!("merged parts must be convolutions")
         };
-        let part_weights = part_filter(part, p);
+        let part_weights = conv_weights(weight_seed(graph, part), p.out_channels, in_c, p.kernel);
         let (kh, kw) = p.kernel;
         let (dy, dx) = ((mkh - kh) / 2, (mkw - kw) / 2);
         for oc in 0..p.out_channels {
@@ -353,6 +355,7 @@ pub(crate) fn stack_merged_filter<'a>(
         }
         oc_offset += p.out_channels;
     }
+    dst
 }
 
 /// Precomputed weights for every block of a network.
@@ -367,8 +370,7 @@ pub struct NetworkWeights {
 /// `ios_weight_cache_*_bytes` gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WeightFootprint {
-    /// Bytes of f32 weight arrays (natural filters kept for merge
-    /// stacking, packed panels, matmul matrices).
+    /// Bytes of f32 weight arrays (packed panels, matmul matrices).
     pub f32_bytes: usize,
     /// Bytes of int8 quantized panels plus their per-channel scales.
     pub int8_bytes: usize,
@@ -412,41 +414,22 @@ impl NetworkWeights {
     }
 
     /// The weight-cache bytes held, split by representation. Counts every
-    /// weight array resident in memory: natural filters (kept for merge
-    /// stacking), packed f32 panels or quantized int8 panels (+scales),
-    /// and matmul matrices — so the int8 footprint reduction is directly
-    /// observable.
+    /// per-operator weight array resident in memory: packed f32 panels or
+    /// quantized int8 panels (+scales), and matmul matrices — so the int8
+    /// footprint reduction is directly observable.
     #[must_use]
     pub fn footprint(&self) -> WeightFootprint {
         let f32_size = std::mem::size_of::<f32>();
         let mut fp = WeightFootprint::default();
         for w in self.blocks.iter().flat_map(|b| b.by_op.iter().flatten()) {
             match w {
-                OpWeights::Conv {
-                    filter,
-                    packed,
-                    quantized,
-                } => {
-                    fp.f32_bytes += filter.len() * f32_size;
-                    if let Some(p) = packed {
-                        fp.f32_bytes += p.num_elements() * f32_size;
-                    }
-                    if let Some(q) = quantized {
-                        fp.int8_bytes += q.footprint_bytes();
-                    }
-                }
+                OpWeights::Conv(kernel) => kernel.add_footprint(&mut fp),
                 OpWeights::SepConv {
-                    depthwise_packed,
-                    pointwise_packed,
-                    pointwise_quant,
+                    depthwise,
+                    pointwise,
                 } => {
-                    fp.f32_bytes += depthwise_packed.num_elements() * f32_size;
-                    if let Some(p) = pointwise_packed {
-                        fp.f32_bytes += p.num_elements() * f32_size;
-                    }
-                    if let Some(q) = pointwise_quant {
-                        fp.int8_bytes += q.footprint_bytes();
-                    }
+                    fp.f32_bytes += depthwise.num_elements() * f32_size;
+                    pointwise.add_footprint(&mut fp);
                 }
                 OpWeights::MatMul(m) => fp.f32_bytes += m.len() * f32_size,
             }
@@ -479,21 +462,12 @@ impl NetworkWeights {
             .iter()
             .flat_map(|b| b.by_op.iter().flatten())
             .map(|w| match w {
-                OpWeights::Conv { filter, .. } => filter.len(),
+                OpWeights::Conv(kernel) => kernel.num_weights(),
                 OpWeights::MatMul(v) => v.len(),
                 OpWeights::SepConv {
-                    depthwise_packed,
-                    pointwise_packed,
-                    pointwise_quant,
-                } => {
-                    depthwise_packed.num_weights()
-                        + pointwise_packed
-                            .as_ref()
-                            .map_or(0, PackedFilter::num_weights)
-                        + pointwise_quant
-                            .as_ref()
-                            .map_or(0, QuantizedFilter::num_weights)
-                }
+                    depthwise,
+                    pointwise,
+                } => depthwise.num_weights() + pointwise.num_weights(),
             })
             .sum()
     }
@@ -517,8 +491,9 @@ fn graph_outputs(
 }
 
 /// Executes a whole network sequentially (block by block, operators in
-/// topological order), regenerating weights on the fly — the reference the
-/// serving runtime is checked against. Returns the final block's outputs.
+/// topological order), precomputing each block's weights for this call —
+/// the reference the serving runtime is checked against. Returns the final
+/// block's outputs.
 ///
 /// # Panics
 ///
@@ -558,11 +533,13 @@ pub fn execute_network_scheduled(
     );
     let mut block_index = 0;
     run_network(network, inputs, |graph, tensors| {
-        let out = execute_schedule_with(
+        let out = execute_schedule_pooled(
             graph,
             &schedule.block_schedules[block_index],
             tensors,
-            Some(weights.block(block_index)),
+            weights.block(block_index),
+            global_pool(),
+            true,
         );
         block_index += 1;
         out
@@ -583,7 +560,7 @@ pub fn execute_network_with_weights(
 ) -> Vec<TensorData> {
     let mut block_index = 0;
     run_network(network, inputs, |graph, tensors| {
-        let out = execute_graph_with(graph, tensors, Some(weights.block(block_index)));
+        let out = execute_graph_pooled(graph, tensors, weights.block(block_index), global_pool());
         block_index += 1;
         out
     })
@@ -672,21 +649,15 @@ pub(crate) fn execute_network_blocks_pooled(
             // When several sample workers already cover the cores, nested
             // per-group threads would only oversubscribe them: run the
             // stage groups serially (bit-identical either way).
-            Some(s) if serial_stages => execute_schedule_pooled_serial(
-                &block.graph,
-                &s.block_schedules[index],
-                &current,
-                Some(weights.block(index)),
-                arena,
-            ),
             Some(s) => execute_schedule_pooled(
                 &block.graph,
                 &s.block_schedules[index],
                 &current,
-                Some(weights.block(index)),
+                weights.block(index),
                 arena,
+                !serial_stages,
             ),
-            None => execute_graph_pooled(&block.graph, &current, Some(weights.block(index)), arena),
+            None => execute_graph_pooled(&block.graph, &current, weights.block(index), arena),
         };
         let mut op_outputs: Vec<Option<TensorData>> = op_outputs.into_iter().map(Some).collect();
         let declared = block.graph.outputs();
@@ -717,14 +688,21 @@ pub(crate) fn execute_network_blocks_pooled(
     current
 }
 
-/// Executes a stacked batch by running every sample independently on scoped
-/// worker threads — the CPU serving fast path. Each sample runs the whole
-/// network (under `schedule` when given) with pooled, allocation-free
-/// storage; because every operator treats batch items independently, the
-/// restacked outputs are **bit-identical** to
+/// Executes a stacked batch by running every sample independently on at
+/// most `max_workers` scoped worker threads — the CPU serving fast path.
+/// Each sample runs the whole network (under `schedule` when given) with
+/// pooled, allocation-free storage; because every operator treats batch
+/// items independently, the restacked outputs are **bit-identical** to
 /// [`execute_network_scheduled`] on the stacked batch, and to solo
 /// [`execute_network`] runs per sample — regardless of worker count or
 /// completion order.
+///
+/// Pass `usize::MAX` to fan out across all available cores. A serving
+/// runtime that already runs several dispatch workers should split the
+/// cores between them (each batch otherwise spawns `available_parallelism`
+/// threads and the products oversubscribe the host); `1` runs the samples
+/// serially on one worker, which is also fully deterministic for
+/// allocation-accounting tests.
 ///
 /// `network` may be shaped for any batch size; the per-sample instance is
 /// derived once per call when needed (pass the batch-1 instance to avoid
@@ -738,28 +716,6 @@ pub(crate) fn execute_network_blocks_pooled(
 ///
 /// Panics if the inputs disagree on batch size, or the schedule/weights do
 /// not match the network.
-#[must_use]
-pub fn execute_network_batched(
-    network: &Network,
-    schedule: Option<&NetworkSchedule>,
-    weights: &NetworkWeights,
-    inputs: &[TensorData],
-    arena: &ScratchPool,
-) -> Vec<TensorData> {
-    execute_network_batched_capped(network, schedule, weights, inputs, arena, usize::MAX)
-}
-
-/// [`execute_network_batched`] with the sample-worker fan-out capped at
-/// `max_workers`. A serving runtime that already runs several dispatch
-/// workers should split the cores between them (each batch otherwise
-/// spawns `available_parallelism` threads and the products oversubscribe
-/// the host); `1` runs the samples serially on one worker, which is also
-/// fully deterministic for allocation-accounting tests. Results are
-/// bit-identical for every cap.
-///
-/// # Panics
-///
-/// Same conditions as [`execute_network_batched`].
 #[must_use]
 pub fn execute_network_batched_capped(
     network: &Network,
@@ -977,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_weights_match_on_the_fly_execution() {
+    fn network_weights_match_per_call_weights() {
         let net = tiny_network(1);
         let weights = NetworkWeights::precompute(&net);
         assert!(weights.num_parameters() > 0);

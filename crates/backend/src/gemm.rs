@@ -10,38 +10,33 @@
 //! `mul` + `add` operations as the reference. Padding positions contribute
 //! explicit zero patch values; adding `±0.0 * w` terms never changes a
 //! finite IEEE-754 sum, so results compare equal (`==`) element for
-//! element. No FMA contraction is used on either path.
+//! element. No FMA contraction is used.
 //!
 //! Layout:
 //!
 //! * patch matrix `B`: `K × M` where `K = in_c/groups · kh · kw` and
 //!   `M = oh · ow`; row `k` holds the input values the k-th kernel element
 //!   sees at every output pixel (zero where padding is hit);
-//! * weight matrix `A`: the existing `[out_c][in_c/g][kh][kw]` filter —
-//!   each output channel's row is already `K` contiguous values;
+//! * weight matrix `A`: the filter pre-packed into tile-major panels
+//!   ([`PackedFilter`]), packed once at weight-precompute time;
 //! * `C = A · B` is the `out_c/g × M` output of one group, written directly
 //!   into the NCHW output tensor.
 //!
-//! Pointwise convolutions (1×1, stride 1, no padding) skip im2col entirely:
-//! the input channel planes already *are* the patch matrix.
-//!
-//! Two weight representations feed the same semantics: the natural layout
-//! above ([`conv2d_im2col`]) and the pre-packed tile-major panels of
-//! [`PackedFilter`] ([`conv2d_im2col_packed`]), which the serving runtime
-//! packs once at weight-precompute time. The packed kernel walks the
-//! output column blocks in the outer loop and **fuses im2col into the
-//! block walk**: instead of materializing the full `K × M` patch matrix
-//! per call, it builds each `K × NR` column block in cache right before
-//! all packed panels stream over it ([`im2col_block`]), so the patch data
-//! of a large layer never round-trips through memory at all. Because the
-//! block holds exactly the values the full matrix would, packing is a pure
-//! permutation, and every accumulator still sums over strictly ascending
-//! `k`, both paths are bit-identical to each other and to the naive
-//! reference.
+//! The kernel ([`conv2d_im2col_packed`]) walks the output column blocks in
+//! the outer loop and **fuses im2col into the block walk**: instead of
+//! materializing the full `K × M` patch matrix per call, it builds each
+//! `K × NR` column block in cache right before all packed panels stream
+//! over it ([`im2col_block`]), so the patch data of a large layer never
+//! round-trips through memory at all. Pointwise convolutions (1×1, stride
+//! 1, no padding) skip im2col entirely: the input channel planes already
+//! *are* the patch matrix. Because the block holds exactly the values the
+//! full matrix would, packing is a pure permutation, and every accumulator
+//! sums over strictly ascending `k`, the kernel is bit-identical to the
+//! naive reference.
 //!
 //! **Epilogues are fused into the tile writeback.** An [`Epilogue`]
 //! descriptor (bias / residual-add / ReLU, composable) is threaded through
-//! every kernel down to the `MR × NR` tile store, so activations and adds
+//! every kernel down to the register-tile store, so activations and adds
 //! apply while the output tile is register-hot instead of as separate
 //! whole-tensor passes afterwards. The fused epilogue computes the exact
 //! per-element expression of the separate passes — `(acc + bias) +
@@ -49,13 +44,13 @@
 //! the pass-after reference (`max(0, ·)` per element commutes with the
 //! store order).
 //!
-//! **Runtime SIMD dispatch.** Both f32 kernels carry explicit AVX2
-//! variants of their full register tiles (and of the fused epilogue
-//! store), selected per call through the shared [`crate::simd`] dispatch
-//! module; SSE2-and-below hosts keep the auto-vectorized form. The AVX2
-//! tiles use only `vmulps` + `vaddps` — never FMA — and accumulate each
-//! output element over the identical strictly ascending `k` sequence, so
-//! the selected ISA is invisible in the output bits: every path stays
+//! **Runtime SIMD dispatch.** The f32 kernel carries an explicit AVX2
+//! variant of its full register tile (and of the fused epilogue store),
+//! selected per call through the shared [`crate::simd`] dispatch module;
+//! SSE2-and-below hosts keep the auto-vectorized form. The AVX2 tile uses
+//! only `vmulps` + `vaddps` — never FMA — and accumulates each output
+//! element over the identical strictly ascending `k` sequence, so the
+//! selected ISA is invisible in the output bits: every path stays
 //! bit-identical to the naive oracle.
 //!
 //! **Int8 quantized path.** [`QuantizedFilter`] holds per-output-channel
@@ -74,17 +69,13 @@ use crate::simd::{self, Isa};
 use crate::tensor_data::TensorData;
 use ios_ir::{Conv2dParams, TensorShape};
 
-/// Output-channel rows per register tile.
-const MR: usize = 4;
-/// Output-pixel columns per register tile (two 8-lane vectors on AVX2).
-const NR: usize = 16;
-/// Output-channel rows per register tile of the *packed* kernel: the
-/// tile-major layout feeds the microkernel one contiguous `PACK_MR`-wide
-/// slab per k step. 4 × 16 accumulators + 2 patch vectors + 1 broadcast
-/// fit the 16 AVX2 registers; wider tiles (6 or 8 rows) measured slower
-/// here because the accumulator array spills.
+/// Output-channel rows per register tile: the tile-major layout feeds the
+/// microkernel one contiguous `PACK_MR`-wide slab per k step. 4 × 16
+/// accumulators + 2 patch vectors + 1 broadcast fit the 16 AVX2 registers;
+/// wider tiles (6 or 8 rows) measured slower here because the accumulator
+/// array spills.
 const PACK_MR: usize = 4;
-/// Output-pixel columns per register tile of the packed kernel.
+/// Output-pixel columns per register tile (two 8-lane vectors on AVX2).
 const PACK_NR: usize = 16;
 
 /// A convolution filter pre-packed into the GEMM microkernel's tile-major
@@ -96,8 +87,8 @@ const PACK_NR: usize = 16;
 /// the panel (`data[panel][k][row]`), so the inner loop streams `A` as one
 /// contiguous sequence. Packing is a pure permutation (edge panels are
 /// zero-padded rows that are never read back into the output), so the
-/// packed path consumes exactly the same weight values in exactly the same
-/// order per output element — bit-identical to the unpacked kernel.
+/// kernel consumes exactly the same weight values in exactly the same
+/// order per output element as the naive reference.
 ///
 /// Pack once at weight-precompute time ([`crate::batch::BlockWeights`]);
 /// every later execution streams the packed filter directly.
@@ -302,48 +293,11 @@ impl ConvEpilogue<'_> {
     }
 }
 
-/// im2col + blocked-GEMM convolution. Bit-identical to
+/// im2col + blocked-GEMM convolution reading the filter from its
+/// pre-packed tile-major layout. Bit-identical to
 /// [`crate::ops_cpu::conv2d_naive`]; scratch comes from `pool` and is
 /// recycled before returning, the output tensor is taken from `pool` and
 /// owned by the caller.
-#[must_use]
-pub fn conv2d_im2col(
-    input: &TensorData,
-    params: &Conv2dParams,
-    weights: &[f32],
-    pool: &impl Arena,
-) -> TensorData {
-    conv2d_gemm(
-        input,
-        params,
-        Filter::Unpacked(weights),
-        &ConvEpilogue::default(),
-        pool,
-    )
-}
-
-/// [`conv2d_im2col`] with a fused epilogue: input-ReLU during im2col,
-/// bias / residual-add / ReLU in the tile writeback. Bit-identical to
-/// running the same operations as separate passes after the convolution.
-///
-/// # Panics
-///
-/// Panics if a provided residual's shape differs from the output shape or
-/// a provided bias is shorter than `params.out_channels`.
-#[must_use]
-pub fn conv2d_im2col_fused(
-    input: &TensorData,
-    params: &Conv2dParams,
-    weights: &[f32],
-    ep: &ConvEpilogue<'_>,
-    pool: &impl Arena,
-) -> TensorData {
-    conv2d_gemm(input, params, Filter::Unpacked(weights), ep, pool)
-}
-
-/// [`conv2d_im2col`] reading the filter from its pre-packed tile-major
-/// layout — the serving fast path. Bit-identical to the unpacked kernel
-/// (and therefore to [`crate::ops_cpu::conv2d_naive`]).
 ///
 /// # Panics
 ///
@@ -358,9 +312,10 @@ pub fn conv2d_im2col_packed(
     conv2d_im2col_packed_fused(input, params, packed, &ConvEpilogue::default(), pool)
 }
 
-/// [`conv2d_im2col_packed`] with a fused epilogue — the serving fast
-/// path. Bit-identical to the unpacked fused kernel (and to the separate
-/// passes it replaces).
+/// [`conv2d_im2col_packed`] with a fused epilogue: input-ReLU during
+/// im2col, bias / residual-add / ReLU in the tile writeback. Bit-identical
+/// to running the same operations as separate passes after the
+/// convolution.
 ///
 /// # Panics
 ///
@@ -374,77 +329,41 @@ pub fn conv2d_im2col_packed_fused(
     ep: &ConvEpilogue<'_>,
     pool: &impl Arena,
 ) -> TensorData {
-    let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
+    let in_shape = input.shape;
+    let groups = params.groups;
+    let in_c_per_group = in_shape.channels / groups;
+    let out_c_per_group = params.out_channels / groups;
+    let (kh, kw) = params.kernel;
+    let k_len = in_c_per_group * kh * kw;
     assert!(
-        packed.matches(params.out_channels, params.groups, k_len),
+        packed.matches(params.out_channels, groups, k_len),
         "packed filter geometry (out_c {}, groups {}, k {}) does not match the convolution \
          (out_c {}, groups {}, k {})",
         packed.out_channels,
         packed.groups,
         packed.k_len,
         params.out_channels,
-        params.groups,
+        groups,
         k_len
     );
-    conv2d_gemm(input, params, Filter::Packed(packed), ep, pool)
-}
-
-/// The weight operand of the GEMM: natural layout or pre-packed panels.
-enum Filter<'a> {
-    Unpacked(&'a [f32]),
-    Packed(&'a PackedFilter),
-}
-
-fn conv2d_gemm(
-    input: &TensorData,
-    params: &Conv2dParams,
-    filter: Filter<'_>,
-    ep: &ConvEpilogue<'_>,
-    pool: &impl Arena,
-) -> TensorData {
-    let in_shape = input.shape;
-    let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
-    let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
-    let mut out = pool.take_tensor(out_shape);
-    if let Some(res) = ep.residual {
-        assert_eq!(
-            res.shape, out_shape,
-            "fused residual shape must match the convolution output"
-        );
-    }
-    if let Some(bias) = ep.bias {
-        assert!(
-            bias.len() >= params.out_channels,
-            "fused bias must cover every output channel"
-        );
-    }
-
-    let groups = params.groups;
-    let in_c_per_group = in_shape.channels / groups;
-    let out_c_per_group = params.out_channels / groups;
-    let (kh, kw) = params.kernel;
-    let k_len = in_c_per_group * kh * kw;
-    let m_cols = oh * ow;
+    let (mut out, ow) = take_conv_output(input, params, ep, pool);
+    let m_cols = out.shape.height * ow;
     let in_plane = in_shape.height * in_shape.width;
     let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
     let isa = simd::active_isa();
 
     // A pointwise convolution's patch matrix is the input itself — unless
     // a fused input-ReLU must transform the values, which forces the
-    // patch-build path (it applies the ReLU while loading). The unpacked
-    // kernel materializes the full `K × M` patch matrix per group; the
-    // packed kernel is column-block-outer, so it builds each `K × NR`
-    // column block on demand instead (fused im2col) and never holds more
-    // than one cache-resident block of B.
+    // patch-build path (it applies the ReLU while loading). Otherwise the
+    // kernel is column-block-outer: it builds each `K × PACK_NR` column
+    // block on demand (fused im2col) and never holds more than one
+    // cache-resident block of B.
     let pointwise =
         kh == 1 && kw == 1 && params.stride == (1, 1) && params.padding == (0, 0) && !ep.input_relu;
     let mut patches = if pointwise {
         Vec::new()
     } else {
-        match filter {
-            Filter::Unpacked(_) => pool.take(k_len * m_cols),
-            Filter::Packed(_) => pool.take(k_len * PACK_NR),
-        }
+        pool.take(k_len * PACK_NR)
     };
 
     for n in 0..in_shape.batch {
@@ -460,79 +379,46 @@ fn conv2d_gemm(
                 relu,
             };
             let c = &mut out.data[c_start..c_start + out_c_per_group * m_cols];
-            match filter {
-                Filter::Unpacked(weights) => {
-                    let b: &[f32] = if pointwise {
-                        let start = (n * in_shape.channels + c0) * in_plane;
-                        &input.data[start..start + k_len * m_cols]
-                    } else {
-                        im2col_group(
-                            input,
-                            n,
-                            c0,
-                            in_c_per_group,
-                            params,
-                            oh,
-                            ow,
-                            &mut patches,
-                            ep.input_relu,
-                        );
-                        &patches
-                    };
-                    let a = &weights[oc0 * k_len..(oc0 + out_c_per_group) * k_len];
-                    gemm_bit_exact(out_c_per_group, m_cols, k_len, a, b, &gep, c);
-                }
-                Filter::Packed(packed) if pointwise => {
-                    let start = (n * in_shape.channels + c0) * in_plane;
-                    let b = &input.data[start..start + k_len * m_cols];
-                    gemm_bit_exact_packed(
-                        out_c_per_group,
-                        m_cols,
-                        k_len,
-                        packed.group(g),
-                        b,
-                        &gep,
-                        c,
-                    );
-                }
-                Filter::Packed(packed) => {
-                    // Fused per-block im2col: build the `K × nr` patch
-                    // column block in cache, then stream every packed panel
-                    // over it while it is hot. Same patch values, same
-                    // ascending-k accumulation per output element — bit-
-                    // identical to the full-matrix path.
-                    let mut j0 = 0;
-                    while j0 < m_cols {
-                        let nr = PACK_NR.min(m_cols - j0);
-                        let block = &mut patches[..k_len * nr];
-                        im2col_block(
-                            input,
-                            n,
-                            c0,
-                            in_c_per_group,
-                            params,
-                            ow,
-                            j0,
-                            nr,
-                            block,
-                            ep.input_relu,
-                        );
-                        packed_panels_over_block(
-                            packed.group(g),
-                            out_c_per_group,
-                            m_cols,
-                            k_len,
-                            block,
-                            nr,
-                            j0,
-                            nr,
-                            &gep,
-                            isa,
-                            c,
-                        );
-                        j0 += PACK_NR;
-                    }
-                }
+            if pointwise {
+                let start = (n * in_shape.channels + c0) * in_plane;
+                let b = &input.data[start..start + k_len * m_cols];
+                packed_gemm(out_c_per_group, m_cols, k_len, packed.group(g), b, &gep, c);
+                continue;
+            }
+            // Fused per-block im2col: build the `K × nr` patch column
+            // block in cache, then stream every packed panel over it while
+            // it is hot. Same patch values, same ascending-k accumulation
+            // per output element as the full patch matrix.
+            let mut j0 = 0;
+            while j0 < m_cols {
+                let nr = PACK_NR.min(m_cols - j0);
+                let block = &mut patches[..k_len * nr];
+                im2col_block(
+                    input,
+                    n,
+                    c0,
+                    in_c_per_group,
+                    params,
+                    ow,
+                    j0,
+                    nr,
+                    block,
+                    ep.input_relu,
+                );
+                packed_panels_over_block(
+                    packed.group(g),
+                    out_c_per_group,
+                    m_cols,
+                    k_len,
+                    block,
+                    nr,
+                    j0,
+                    nr,
+                    &gep,
+                    isa,
+                    c,
+                );
+                j0 += PACK_NR;
             }
         }
     }
@@ -540,6 +426,33 @@ fn conv2d_gemm(
         pool.recycle(patches);
     }
     out
+}
+
+/// Takes the output tensor of a convolution from `pool` and checks the
+/// fused epilogue's operands against its geometry. Returns the tensor and
+/// the output width.
+fn take_conv_output(
+    input: &TensorData,
+    params: &Conv2dParams,
+    ep: &ConvEpilogue<'_>,
+    pool: &impl Arena,
+) -> (TensorData, usize) {
+    let in_shape = input.shape;
+    let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
+    let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
+    if let Some(res) = ep.residual {
+        assert_eq!(
+            res.shape, out_shape,
+            "fused residual shape must match the convolution output"
+        );
+    }
+    if let Some(bias) = ep.bias {
+        assert!(
+            bias.len() >= params.out_channels,
+            "fused bias must cover every output channel"
+        );
+    }
+    (pool.take_tensor(out_shape), ow)
 }
 
 /// Copies `seg.len()` input values starting at `in_row[src]` with stride
@@ -573,67 +486,13 @@ fn fill_seg(seg: &mut [f32], in_row: &[f32], src: usize, sw: usize, input_relu: 
     }
 }
 
-/// Fills `patches` (a `K × M` matrix, `K = in_c_per_group·kh·kw`,
-/// `M = oh·ow`) with the im2col expansion of sample `n`, channels
-/// `[c0, c0 + in_c_per_group)`. Out-of-bounds (padding) positions become
-/// exact `0.0`; every element of `patches` is written. `input_relu`
-/// applies `max(0, ·)` to every loaded value.
-#[allow(clippy::too_many_arguments)]
-fn im2col_group(
-    input: &TensorData,
-    n: usize,
-    c0: usize,
-    in_c_per_group: usize,
-    params: &Conv2dParams,
-    oh: usize,
-    ow: usize,
-    patches: &mut [f32],
-    input_relu: bool,
-) {
-    let shape = input.shape;
-    let (h, w) = (shape.height, shape.width);
-    let (kh, kw) = params.kernel;
-    let (sh, sw) = params.stride;
-    let (ph, pw) = params.padding;
-    let m_cols = oh * ow;
-
-    let mut k = 0usize;
-    for ic in 0..in_c_per_group {
-        let plane_start = (n * shape.channels + c0 + ic) * h * w;
-        let plane = &input.data[plane_start..plane_start + h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = &mut patches[k * m_cols..(k + 1) * m_cols];
-                // Valid output-x range: 0 <= x·sw + kx − pw < w.
-                let (x_lo, x_hi) = valid_range(ow, sw, kx, pw, w);
-                for y in 0..oh {
-                    let iy = (y * sh + ky) as isize - ph as isize;
-                    let seg = &mut row[y * ow..(y + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        seg.fill(0.0);
-                        continue;
-                    }
-                    let in_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    seg[..x_lo].fill(0.0);
-                    if x_hi > x_lo {
-                        let src = ((x_lo * sw + kx) as isize - pw as isize) as usize;
-                        fill_seg(&mut seg[x_lo..x_hi], in_row, src, sw, input_relu);
-                    }
-                    seg[x_hi..].fill(0.0);
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
 /// Fills `patches` (a `K × nr` block, `K = in_c_per_group·kh·kw`, row
 /// stride `nr`) with the im2col expansion of output columns
 /// `[j0, j0 + nr)` of sample `n`, channels `[c0, c0 + in_c_per_group)` —
-/// the fused-im2col building block of the packed kernel. Produces exactly
-/// the values the full-matrix [`im2col_group`] would put in those columns
-/// (padding positions become exact `0.0`); every element of `patches` is
-/// written. `input_relu` applies `max(0, ·)` to every loaded value.
+/// the fused-im2col building block of the kernel. Produces exactly the
+/// values the full `K × M` patch matrix holds in those columns (padding
+/// positions become exact `0.0`); every element of `patches` is written.
+/// `input_relu` applies `max(0, ·)` to every loaded value.
 #[allow(clippy::too_many_arguments)]
 fn im2col_block(
     input: &TensorData,
@@ -711,135 +570,6 @@ fn valid_range(out: usize, stride: usize, k: usize, pad: usize, limit: usize) ->
     (lo, hi.max(lo))
 }
 
-/// `C[i·m + j] = Σ_k A[i·k_len + k] · B[k·m + j]` pushed through the
-/// fused epilogue `ep`, with `k` strictly ascending for every `(i, j)` —
-/// the bit-exactness invariant. Register blocking covers `MR × NR` output
-/// tiles; each accumulator's operation sequence is identical to a scalar
-/// loop, and the epilogue applies per element in the tile writeback.
-pub fn gemm_bit_exact(
-    m_rows: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &mut [f32],
-) {
-    let isa = simd::active_isa();
-    let mut i0 = 0;
-    while i0 < m_rows {
-        let mr = MR.min(m_rows - i0);
-        let mut j0 = 0;
-        while j0 < m {
-            let nr = NR.min(m - j0);
-            if mr == MR && nr == NR {
-                tile_full(i0, j0, m, k_len, a, b, ep, c, isa);
-            } else {
-                tile_edge(i0, j0, mr, nr, m, k_len, a, b, ep, c);
-            }
-            j0 += NR;
-        }
-        i0 += MR;
-    }
-}
-
-/// Full `MR × NR` register tile: the explicit AVX2 kernel when the
-/// dispatch selected it, else the auto-vectorized form whose fixed trip
-/// counts let the compiler keep the accumulators in vector registers.
-/// Both run the identical per-element mul+add sequence.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn tile_full(
-    i0: usize,
-    j0: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &mut [f32],
-    isa: Isa,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: the dispatch module only selects Avx2 after runtime
-        // feature detection (or a forced override validated against it).
-        unsafe { tile_full_avx2(i0, j0, m, k_len, a, b, ep, c) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
-    let mut acc = [[0.0f32; NR]; MR];
-    let mut a_rows = [&a[0..0]; MR];
-    for (i, row) in a_rows.iter_mut().enumerate() {
-        *row = &a[(i0 + i) * k_len..(i0 + i + 1) * k_len];
-    }
-    let b_off = &b[j0..];
-    for kk in 0..k_len {
-        let brow = &b_off[kk * m..kk * m + NR];
-        for i in 0..MR {
-            let aik = a_rows[i][kk];
-            let lane = &mut acc[i];
-            for j in 0..NR {
-                lane[j] += aik * brow[j];
-            }
-        }
-    }
-    for (i, lane) in acc.iter().enumerate() {
-        store_lane(ep, i0 + i, j0, m, lane, c);
-    }
-}
-
-/// Explicit AVX2 form of the full `MR × NR` tile: the 4 × 16 f32
-/// accumulators live in 8 ymm registers (two per row), each k step loads
-/// the `NR`-row of `B` as two vectors and broadcasts one `A` value per
-/// row. Only `vmulps` + `vaddps` are issued — no FMA — so lane `j` of row
-/// `i` receives exactly the scalar sequence `acc += a[i][k] · b[k][j]`
-/// over strictly ascending `k`: bit-identical to the auto-vectorized
-/// tile.
-///
-/// # Safety
-///
-/// AVX2 must be available (guaranteed by the dispatch module). Slice
-/// bounds are the same as [`tile_full`]'s and are debug-asserted.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_full_avx2(
-    i0: usize,
-    j0: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(a.len() >= (i0 + MR) * k_len);
-    debug_assert!(k_len == 0 || b.len() >= (k_len - 1) * m + j0 + NR);
-    // SAFETY: all pointer arithmetic stays inside the slices per the
-    // bounds above; loads are explicitly unaligned.
-    unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        let ap = a.as_ptr().add(i0 * k_len);
-        let bp = b.as_ptr().add(j0);
-        for kk in 0..k_len {
-            let brow = bp.add(kk * m);
-            let b0 = _mm256_loadu_ps(brow);
-            let b1 = _mm256_loadu_ps(brow.add(8));
-            for (i, accr) in acc.iter_mut().enumerate() {
-                let aik = _mm256_set1_ps(*ap.add(i * k_len + kk));
-                accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(aik, b0));
-                accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(aik, b1));
-            }
-        }
-        for (i, accr) in acc.iter().enumerate() {
-            store_lane_avx2(ep, i0 + i, j0, m, *accr, c);
-        }
-    }
-}
-
 /// Vectorized [`store_lane`] for one full 16-wide accumulator row held as
 /// two ymm vectors: bias broadcast-add, residual add and `max(0, ·)`
 /// apply lane-wise in the exact per-element order of the scalar store —
@@ -851,7 +581,7 @@ unsafe fn tile_full_avx2(
 ///
 /// # Safety
 ///
-/// AVX2 must be available. Row `row`, columns `[j0, j0 + NR)` must lie
+/// AVX2 must be available. Row `row`, columns `[j0, j0 + PACK_NR)` must lie
 /// inside `c` (and inside the residual, when present) — enforced by the
 /// slice indexing below.
 #[cfg(target_arch = "x86_64")]
@@ -875,7 +605,7 @@ unsafe fn store_lane_avx2(
             v1 = _mm256_add_ps(v1, bv);
         }
         if let Some(res) = ep.residual {
-            let r = &res[start..start + NR];
+            let r = &res[start..start + PACK_NR];
             v0 = _mm256_add_ps(v0, _mm256_loadu_ps(r.as_ptr()));
             v1 = _mm256_add_ps(v1, _mm256_loadu_ps(r.as_ptr().add(8)));
         }
@@ -884,26 +614,26 @@ unsafe fn store_lane_avx2(
             v0 = _mm256_max_ps(v0, zero);
             v1 = _mm256_max_ps(v1, zero);
         }
-        let dst = &mut c[start..start + NR];
+        let dst = &mut c[start..start + PACK_NR];
         _mm256_storeu_ps(dst.as_mut_ptr(), v0);
         _mm256_storeu_ps(dst.as_mut_ptr().add(8), v1);
     }
 }
 
-/// [`gemm_bit_exact`] reading `A` from tile-major packed panels
+/// `C[i·m + j] = Σ_k A[i·k_len + k] · B[k·m + j]` pushed through the
+/// fused epilogue `ep`, with `A` read from tile-major packed panels
 /// ([`PackedFilter::pack`]): panel `p` holds rows `p·PACK_MR ..` as
 /// `panel[k · PACK_MR + row]`, so the k loop walks one contiguous stream.
-/// Every output element still accumulates over strictly ascending `k` —
-/// bit-identical to the unpacked kernel.
+/// Every output element accumulates over strictly ascending `k` — the
+/// scalar loop's exact operation sequence.
 ///
-/// The loop nest is column-block-outer: for each `NR`-wide block of output
-/// pixels, *all* weight panels are streamed over the same `K × NR` slice of
-/// the patch matrix. The slice stays cache-hot across panels, so the big
-/// patch matrix of a large layer crosses the memory hierarchy once instead
-/// of once per panel — the unpacked kernel's dominant cost on
-/// GEMM-bound shapes — while the packed `A` is one sequential,
-/// hardware-prefetchable stream per block.
-pub fn gemm_bit_exact_packed(
+/// The loop nest is column-block-outer: for each `PACK_NR`-wide block of
+/// output pixels, *all* weight panels are streamed over the same
+/// `K × PACK_NR` slice of the patch matrix. The slice stays cache-hot
+/// across panels, so the big patch matrix of a large layer crosses the
+/// memory hierarchy once instead of once per panel, while the packed `A`
+/// is one sequential, hardware-prefetchable stream per block.
+pub fn packed_gemm(
     m_rows: usize,
     m: usize,
     k_len: usize,
@@ -925,7 +655,7 @@ pub fn gemm_bit_exact_packed(
 ///
 /// `b_block` holds B columns `[j0, j0 + nr)` with row stride `b_stride`: a
 /// view into the full `K × M` patch matrix (`b_stride = m`) for the
-/// pointwise / full-matrix paths, or a fused cache-resident `K × nr` block
+/// pointwise path, or a fused cache-resident `K × nr` block
 /// (`b_stride = nr`) built by [`im2col_block`]. `c` is the full
 /// `m_rows × m` output; columns `[j0, j0 + nr)` are written. Every output
 /// element accumulates over strictly ascending `k` with the same values
@@ -951,9 +681,9 @@ fn packed_panels_over_block(
         let mr = PACK_MR.min(m_rows - i0);
         let panel = &a_panels[p * panel_stride..(p + 1) * panel_stride];
         if mr == PACK_MR && nr == PACK_NR {
-            packed_tile_full(panel, i0, j0, m, b_stride, k_len, b_block, ep, c, isa);
+            full_tile(panel, i0, j0, m, b_stride, k_len, b_block, ep, c, isa);
         } else {
-            packed_tile_edge(panel, i0, j0, mr, nr, m, b_stride, k_len, b_block, ep, c);
+            edge_tile(panel, i0, j0, mr, nr, m, b_stride, k_len, b_block, ep, c);
         }
         i0 += PACK_MR;
         p += 1;
@@ -966,7 +696,7 @@ fn packed_panels_over_block(
 /// Dispatches to the explicit AVX2 tile when the dispatch selected it.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn packed_tile_full(
+fn full_tile(
     panel: &[f32],
     i0: usize,
     j0: usize,
@@ -982,7 +712,7 @@ fn packed_tile_full(
     if isa == Isa::Avx2 {
         // SAFETY: the dispatch module only selects Avx2 after runtime
         // feature detection (or a forced override validated against it).
-        unsafe { packed_tile_full_avx2(panel, i0, j0, m, b_stride, k_len, b, ep, c) };
+        unsafe { full_tile_avx2(panel, i0, j0, m, b_stride, k_len, b, ep, c) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1004,20 +734,22 @@ fn packed_tile_full(
     }
 }
 
-/// Explicit AVX2 form of the full packed tile: same 8-ymm accumulator
-/// layout as [`tile_full_avx2`], with `A` read as one contiguous
-/// `PACK_MR`-slab per k step straight from the packed panel. Mul+add
-/// only, strictly ascending `k` per element — bit-identical to the
-/// auto-vectorized packed tile.
+/// Explicit AVX2 form of the full packed tile: the 4 × 16 f32
+/// accumulators live in 8 ymm registers (two per row); each k step loads
+/// the `PACK_NR`-row of `B` as two vectors and broadcasts one value of the
+/// contiguous `PACK_MR`-slab of `A` per row. Only `vmulps` + `vaddps` are
+/// issued — no FMA — so lane `j` of row `i` receives exactly the scalar
+/// sequence `acc += a[i][k] · b[k][j]` over strictly ascending `k`:
+/// bit-identical to the auto-vectorized tile.
 ///
 /// # Safety
 ///
 /// AVX2 must be available (guaranteed by the dispatch module). Slice
-/// bounds are the same as [`packed_tile_full`]'s and are debug-asserted.
+/// bounds are the same as [`full_tile`]'s and are debug-asserted.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
-unsafe fn packed_tile_full_avx2(
+unsafe fn full_tile_avx2(
     panel: &[f32],
     i0: usize,
     j0: usize,
@@ -1057,7 +789,7 @@ unsafe fn packed_tile_full_avx2(
 /// Partial packed tile at the right/bottom edges (`mr <= PACK_MR`,
 /// `nr <= PACK_NR`); the zero-padded panel rows beyond `mr` are never read.
 #[allow(clippy::too_many_arguments)]
-fn packed_tile_edge(
+fn edge_tile(
     panel: &[f32],
     i0: usize,
     j0: usize,
@@ -1076,37 +808,6 @@ fn packed_tile_edge(
         let brow = &b[kk * b_stride..kk * b_stride + nr];
         for i in 0..mr {
             let aik = a_k[i];
-            let lane = &mut acc[i];
-            for (j, bv) in brow.iter().enumerate() {
-                lane[j] += aik * bv;
-            }
-        }
-    }
-    for (i, lane) in acc.iter().enumerate().take(mr) {
-        store_lane(ep, i0 + i, j0, m, &lane[..nr], c);
-    }
-}
-
-/// Partial tile at the right/bottom edges (`mr <= MR`, `nr <= NR`).
-#[allow(clippy::too_many_arguments)]
-fn tile_edge(
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    m: usize,
-    k_len: usize,
-    a: &[f32],
-    b: &[f32],
-    ep: &Epilogue<'_>,
-    c: &mut [f32],
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    let b_off = &b[j0..];
-    for kk in 0..k_len {
-        let brow = &b_off[kk * m..kk * m + nr];
-        for i in 0..mr {
-            let aik = a[(i0 + i) * k_len + kk];
             let lane = &mut acc[i];
             for (j, bv) in brow.iter().enumerate() {
                 lane[j] += aik * bv;
@@ -1350,26 +1051,11 @@ pub fn conv2d_im2col_quant_fused(
         params.groups,
         k_len
     );
-    let (oh, ow) = in_shape.conv_output_hw(params.kernel, params.stride, params.padding);
-    let out_shape = TensorShape::new(in_shape.batch, params.out_channels, oh, ow);
-    let mut out = pool.take_tensor(out_shape);
-    if let Some(res) = ep.residual {
-        assert_eq!(
-            res.shape, out_shape,
-            "fused residual shape must match the convolution output"
-        );
-    }
-    if let Some(bias) = ep.bias {
-        assert!(
-            bias.len() >= params.out_channels,
-            "fused bias must cover every output channel"
-        );
-    }
-
+    let (mut out, ow) = take_conv_output(input, params, ep, pool);
     let groups = params.groups;
     let in_c_per_group = in_shape.channels / groups;
     let out_c_per_group = params.out_channels / groups;
-    let m_cols = oh * ow;
+    let m_cols = out.shape.height * ow;
     let relu = params.activation == ios_ir::Activation::Relu || ep.relu;
     let pairs = quant.pairs;
     // f32 staging block (the same fused im2col the f32 path uses) and an
@@ -1654,30 +1340,13 @@ unsafe fn quant_tile_avx2(
 mod tests {
     use super::*;
     use crate::arena::ScratchPool;
+    use crate::ops_cpu::conv2d_naive;
 
     #[test]
     fn gemm_matches_scalar_reference() {
-        // 7×23 output with k = 11: exercises full and edge tiles.
-        let (m_rows, m, k_len) = (7usize, 23usize, 11usize);
-        let a: Vec<f32> = (0..m_rows * k_len).map(|i| (i as f32).sin()).collect();
-        let b: Vec<f32> = (0..k_len * m).map(|i| (i as f32).cos()).collect();
-        let mut c = vec![0.0f32; m_rows * m];
-        gemm_bit_exact(m_rows, m, k_len, &a, &b, &Epilogue::NONE, &mut c);
-        for i in 0..m_rows {
-            for j in 0..m {
-                let mut acc = 0.0f32;
-                for kk in 0..k_len {
-                    acc += a[i * k_len + kk] * b[kk * m + j];
-                }
-                assert_eq!(c[i * m + j], acc, "tile result must be bit-identical");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_gemm_is_bit_identical_to_unpacked() {
-        // Row counts around the PACK_MR boundary, column counts around NR,
-        // including a single-row (depthwise-like) matrix.
+        // Row counts around the PACK_MR boundary, column counts around
+        // PACK_NR, including a single-row (depthwise-like) matrix: full and
+        // edge tiles must both reproduce the scalar loop bit for bit.
         for &(m_rows, m, k_len) in &[
             (7usize, 23usize, 11usize),
             (6, 16, 4),
@@ -1687,23 +1356,30 @@ mod tests {
         ] {
             let a: Vec<f32> = (0..m_rows * k_len).map(|i| (i as f32).sin()).collect();
             let b: Vec<f32> = (0..k_len * m).map(|i| (i as f32).cos()).collect();
-            let mut unpacked = vec![0.0f32; m_rows * m];
-            gemm_bit_exact(m_rows, m, k_len, &a, &b, &Epilogue::NONE, &mut unpacked);
             let packed = PackedFilter::pack(&a, m_rows, 1, k_len);
-            let mut from_packed = vec![0.0f32; m_rows * m];
-            gemm_bit_exact_packed(
+            let mut c = vec![0.0f32; m_rows * m];
+            packed_gemm(
                 m_rows,
                 m,
                 k_len,
                 packed.group(0),
                 &b,
                 &Epilogue::NONE,
-                &mut from_packed,
+                &mut c,
             );
-            assert_eq!(
-                from_packed, unpacked,
-                "{m_rows}x{m} (k {k_len}) must be bit-identical"
-            );
+            for i in 0..m_rows {
+                for j in 0..m {
+                    let mut acc = 0.0f32;
+                    for kk in 0..k_len {
+                        acc += a[i * k_len + kk] * b[kk * m + j];
+                    }
+                    assert_eq!(
+                        c[i * m + j],
+                        acc,
+                        "{m_rows}x{m} (k {k_len}) must be bit-identical"
+                    );
+                }
+            }
         }
     }
 
@@ -1732,11 +1408,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_block_im2col_conv_matches_full_matrix_unpacked_conv() {
-        // The packed path builds K × NR patch blocks on demand; the
-        // unpacked path materializes the full patch matrix. Both must be
-        // bit-identical across strides, padding, groups and ragged widths
-        // (ow not a multiple of NR, blocks spanning several output rows).
+    fn fused_block_im2col_conv_matches_naive() {
+        // The kernel builds K × PACK_NR patch blocks on demand; it must be
+        // bit-identical to the naive loop across strides, padding, groups
+        // and ragged widths (ow not a multiple of PACK_NR, blocks spanning
+        // several output rows).
         use ios_ir::Activation;
         let pool = ScratchPool::new();
         let cases: Vec<(TensorShape, Conv2dParams)> = vec![
@@ -1772,13 +1448,12 @@ mod tests {
                 .map(|v| (v as f32).sin())
                 .collect();
             let packed = PackedFilter::pack(&weights, params.out_channels, params.groups, k_len);
-            let unpacked_out = conv2d_im2col(&input, params, &weights, &pool);
             let packed_out = conv2d_im2col_packed(&input, params, &packed, &pool);
             assert_eq!(
-                packed_out, unpacked_out,
+                packed_out,
+                conv2d_naive(&input, params, &weights),
                 "case {i}: fused-block packed conv must be bit-identical"
             );
-            pool.recycle_tensor(unpacked_out);
             pool.recycle_tensor(packed_out);
         }
     }
@@ -1787,7 +1462,7 @@ mod tests {
     fn fused_epilogue_matches_separate_passes_bitwise() {
         // bias + residual + relu fused into the tile writeback must equal
         // the plain conv followed by the three separate passes, bit for
-        // bit, on both the packed and unpacked kernels.
+        // bit.
         let pool = ScratchPool::new();
         let shape = TensorShape::new(2, 3, 9, 7);
         let params = Conv2dParams::plain(6, (3, 3), (1, 1), (1, 1));
@@ -1798,7 +1473,7 @@ mod tests {
             .collect();
         let packed = PackedFilter::pack(&weights, params.out_channels, 1, k_len);
         let bias: Vec<f32> = (0..params.out_channels).map(|v| (v as f32).cos()).collect();
-        let plain = conv2d_im2col(&input, &params, &weights, &pool);
+        let plain = conv2d_naive(&input, &params, &weights);
         let residual = TensorData::random(plain.shape, 77);
 
         // Separate-pass reference, in the documented epilogue order.
@@ -1825,16 +1500,8 @@ mod tests {
             residual: Some(&residual),
             relu: true,
         };
-        let fused = conv2d_im2col_fused(&input, &params, &weights, &ep, &pool);
-        let fused_packed = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
-        assert_eq!(
-            fused, reference,
-            "unpacked fused epilogue must be bit-identical"
-        );
-        assert_eq!(
-            fused_packed, reference,
-            "packed fused epilogue must be bit-identical"
-        );
+        let fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
+        assert_eq!(fused, reference, "fused epilogue must be bit-identical");
     }
 
     #[test]
@@ -1862,11 +1529,8 @@ mod tests {
                 input_relu: true,
                 ..ConvEpilogue::default()
             };
-            let reference = conv2d_im2col(&activated, &params, &weights, &pool);
-            let fused = conv2d_im2col_fused(&input, &params, &weights, &ep, &pool);
-            let fused_packed = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
-            assert_eq!(fused, reference);
-            assert_eq!(fused_packed, reference);
+            let fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &pool);
+            assert_eq!(fused, conv2d_naive(&activated, &params, &weights));
         }
     }
 
@@ -1922,17 +1586,17 @@ mod tests {
 
     #[test]
     fn f32_tile_isa_variants_agree_bitwise() {
-        // The explicit AVX2 f32 tiles (when the host has them) must
-        // produce bit-identical results to the auto-vectorized baseline,
-        // on both GEMM paths and through every epilogue combination —
-        // the f32 mirror of `quant_tile_isa_variants_agree_with_scalar`.
+        // The explicit AVX2 f32 tile (when the host has it) must produce
+        // bit-identical results to the auto-vectorized baseline through
+        // every epilogue combination — the f32 mirror of
+        // `quant_tile_isa_variants_agree_with_scalar`.
         let supported: Vec<Isa> = [Isa::Scalar, Isa::Sse2, Isa::Avx2]
             .into_iter()
             .filter(|&i| i <= simd::detected_isa())
             .collect();
-        // Shapes around the MR/NR boundaries: full tiles, edge tiles, a
-        // single-row matrix, and a k long enough to accumulate error if
-        // any variant reordered the sum.
+        // Shapes around the PACK_MR/PACK_NR boundaries: full tiles, edge
+        // tiles, a single-row matrix, and a k long enough to accumulate
+        // error if any variant reordered the sum.
         for &(m_rows, m, k_len) in &[
             (8usize, 32usize, 64usize),
             (7, 23, 11),
@@ -1953,26 +1617,16 @@ mod tests {
                 };
                 let run = |isa: Isa| {
                     simd::with_forced_isa(isa, || {
-                        let mut unpacked = vec![0.0f32; m_rows * m];
-                        gemm_bit_exact(m_rows, m, k_len, &a, &b, &ep, &mut unpacked);
-                        let mut from_packed = vec![0.0f32; m_rows * m];
-                        gemm_bit_exact_packed(
-                            m_rows,
-                            m,
-                            k_len,
-                            packed.group(0),
-                            &b,
-                            &ep,
-                            &mut from_packed,
-                        );
-                        (unpacked, from_packed)
+                        let mut c = vec![0.0f32; m_rows * m];
+                        packed_gemm(m_rows, m, k_len, packed.group(0), &b, &ep, &mut c);
+                        c
                     })
                 };
                 let want = run(Isa::Scalar);
                 for &isa in &supported[1..] {
-                    let got = run(isa);
                     assert_eq!(
-                        got, want,
+                        run(isa),
+                        want,
                         "{m_rows}x{m} (k {k_len}, ep {ep_case}) must be bit-identical on {isa}"
                     );
                 }

@@ -7,14 +7,16 @@
 //! traffic through `ios-serve`:
 //!
 //! * [`ops_cpu`] — every IR operator, with the naive 7-deep convolution
-//!   loop kept as the oracle ([`ops_cpu::conv2d_naive`]) and an im2col +
-//!   register-blocked GEMM engine ([`gemm`]) as the default path,
+//!   loop kept as the oracle ([`ops_cpu::conv2d_naive`]) and one im2col +
+//!   register-blocked GEMM kernel ([`gemm`]) behind every convolution,
 //!   **bit-identical** to the oracle because it preserves the reference's
 //!   `(ic, ky, kx)` accumulation order per output element;
 //! * [`gemm::PackedFilter`] — conv filters pre-packed into the
-//!   microkernel's tile-major layout at weight-precompute time; the packed
-//!   kernel streams the weights contiguously with the patch-matrix block
-//!   cache-hot, still bit-identical (packing is a pure permutation);
+//!   microkernel's tile-major layout at weight-precompute time (ad-hoc
+//!   natural-layout callers pack on demand); the kernel streams the
+//!   weights contiguously with the patch-matrix block cache-hot, still
+//!   bit-identical (packing is a pure permutation), and its int8 twin
+//!   [`gemm::QuantizedFilter`] is byte-identical to its own oracle;
 //! * [`simd`] — the runtime SIMD dispatch shared by every microkernel:
 //!   the f32 register tiles and the int8 `pmaddwd` tiles both select
 //!   their widest usable ISA (explicit AVX2 kernels, SSE2/scalar floors)
@@ -27,11 +29,12 @@
 //! * [`executor`] — runs a plain graph or an IOS [`ios_core::Schedule`]
 //!   (stage by stage, groups on worker threads), precomputing weights once
 //!   per call and serving operator-merge stages from the per-stage
-//!   merged-weight cache ([`BlockWeights::merged_stage`]);
-//! * [`batch`] — network-level execution, weight precomputation (packed
-//!   filters included), batch stacking/splitting, and
-//!   [`execute_network_batched`] which fans a stacked batch out across
-//!   worker threads, one deterministic sample per task;
+//!   merged-weight cache ([`BlockWeights::merged_stage`]) in the block's
+//!   own kernel form;
+//! * [`batch`] — network-level execution, weight precomputation (one
+//!   [`ConvKernel`] per convolution), batch stacking/splitting, and
+//!   [`execute_network_batched_capped`] which fans a stacked batch out
+//!   across worker threads, one deterministic sample per task;
 //! * [`profile`] — the backend as an on-device stage profiler:
 //!   [`CpuStageProfiler`] executes candidate schedule stages through the
 //!   production `execute_stage` path so `ios_core::ProfiledCostModel` can
@@ -59,15 +62,13 @@ pub mod tensor_data;
 
 pub use arena::{Arena, ScratchPool, ScratchScope};
 pub use batch::{
-    execute_network, execute_network_batched, execute_network_batched_capped,
-    execute_network_scheduled, execute_network_with_weights, split_batch, stack_batch,
-    stack_batch_pooled, BlockWeights, MergedWeights, NetworkWeights, OpWeights, WeightFootprint,
-    WeightPrecision,
+    execute_network, execute_network_batched_capped, execute_network_scheduled,
+    execute_network_with_weights, split_batch, stack_batch, stack_batch_pooled, BlockWeights,
+    ConvKernel, MergedWeights, NetworkWeights, OpWeights, WeightFootprint, WeightPrecision,
 };
 pub use executor::{
-    execute_graph, execute_graph_pooled, execute_graph_uncached, execute_graph_with,
-    execute_schedule, execute_schedule_pooled, execute_schedule_pooled_serial,
-    execute_schedule_with, max_abs_difference, relu_fold_plan, verify_schedule, FoldedRelu,
+    execute_graph, execute_graph_pooled, execute_schedule, execute_schedule_pooled,
+    max_abs_difference, relu_fold_plan, verify_schedule, FoldedRelu,
 };
 pub use gemm::{
     quantization_scale, quantize_value, requantize, sample_scale, ConvEpilogue, Epilogue,

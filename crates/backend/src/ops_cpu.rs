@@ -5,11 +5,15 @@
 //! (e.g. the original convolutions vs. their merged counterpart) see the
 //! same parameters and must produce the same outputs.
 //!
-//! Two convolution paths exist: [`conv2d_naive`], the obviously-correct
-//! 7-deep reference loop, and [`conv2d`], the im2col + register-blocked GEMM
-//! engine ([`crate::gemm`]) that is several times faster and **bit-identical**
-//! — it preserves the reference's `(ic, ky, kx)` accumulation order per
-//! output element (verified by proptests in `tests/bit_exact.rs`). The GEMM
+//! Every convolution runs one f32 kernel: the im2col + register-blocked
+//! GEMM over a pre-packed filter ([`crate::gemm`]), several times faster
+//! than [`conv2d_naive`], the obviously-correct 7-deep reference loop, and
+//! **bit-identical** to it — it preserves the reference's `(ic, ky, kx)`
+//! accumulation order per output element (verified by proptests in
+//! `tests/bit_exact.rs`). Precomputed weights hold the packed filter (or
+//! its int8 form, checked against [`conv2d_naive_quant`]); the
+//! natural-layout entry points ([`conv2d`], [`sep_conv2d_pooled`]) pack
+//! on demand. The GEMM
 //! tile dispatches through [`crate::simd`] at runtime (explicit AVX2
 //! kernels on capable hosts, the auto-vectorized tile elsewhere); every
 //! tier computes the same bits, so the oracle relationship is ISA-free.
@@ -22,7 +26,10 @@
 //! loop; the plain variants use the process-global pool.
 
 use crate::arena::{global_pool, Arena};
-use crate::gemm::{quantize_value, requantize, sample_scale, ConvEpilogue, QuantizedFilter};
+use crate::batch::{op_weights, ConvKernel, OpWeights, WeightPrecision};
+use crate::gemm::{
+    quantize_value, requantize, sample_scale, ConvEpilogue, PackedFilter, QuantizedFilter,
+};
 use crate::tensor_data::TensorData;
 use ios_ir::{
     Activation, Conv2dParams, MatMulParams, Op, OpKind, PoolKind, PoolParams, TensorShape,
@@ -70,8 +77,9 @@ fn apply_activation(activation: Activation, v: f32) -> f32 {
     }
 }
 
-/// Dense / grouped 2-D convolution with explicit weights — the im2col +
-/// blocked-GEMM fast path, bit-identical to [`conv2d_naive`].
+/// Dense / grouped 2-D convolution with explicit natural-layout weights
+/// `[out_c][in_c/g][kh][kw]`, packed on demand and run through the
+/// im2col + blocked-GEMM kernel — bit-identical to [`conv2d_naive`].
 #[must_use]
 pub fn conv2d(input: &TensorData, params: &Conv2dParams, weights: &[f32]) -> TensorData {
     conv2d_pooled(input, params, weights, global_pool())
@@ -85,26 +93,14 @@ pub fn conv2d_pooled(
     weights: &[f32],
     arena: &impl Arena,
 ) -> TensorData {
-    crate::gemm::conv2d_im2col(input, params, weights, arena)
+    let k_len = (input.shape.channels / params.groups) * params.kernel.0 * params.kernel.1;
+    let packed = PackedFilter::pack(weights, params.out_channels, params.groups, k_len);
+    conv2d_packed_pooled(input, params, &packed, arena)
 }
 
 /// [`conv2d`] reading the filter from its pre-packed tile-major layout
-/// ([`crate::gemm::PackedFilter`]) — the serving fast path, bit-identical
-/// to [`conv2d`] and [`conv2d_naive`].
-///
-/// # Panics
-///
-/// Panics if the packed filter does not match the convolution's geometry.
-#[must_use]
-pub fn conv2d_packed(
-    input: &TensorData,
-    params: &Conv2dParams,
-    packed: &crate::gemm::PackedFilter,
-) -> TensorData {
-    conv2d_packed_pooled(input, params, packed, global_pool())
-}
-
-/// [`conv2d_packed`] with scratch and output storage drawn from `arena`.
+/// ([`PackedFilter`]) — the kernel precomputed weights run, bit-identical
+/// to [`conv2d_naive`]. Scratch and output storage come from `arena`.
 ///
 /// # Panics
 ///
@@ -113,28 +109,10 @@ pub fn conv2d_packed(
 pub fn conv2d_packed_pooled(
     input: &TensorData,
     params: &Conv2dParams,
-    packed: &crate::gemm::PackedFilter,
+    packed: &PackedFilter,
     arena: &impl Arena,
 ) -> TensorData {
     crate::gemm::conv2d_im2col_packed(input, params, packed, arena)
-}
-
-/// Int8 quantized convolution reading [`QuantizedFilter`] weights —
-/// per-sample input scales, i32 accumulation, requantize in the tile
-/// writeback. Byte-identical to [`conv2d_naive_quant`].
-///
-/// # Panics
-///
-/// Panics if the quantized filter does not match the convolution's
-/// geometry.
-#[must_use]
-pub fn conv2d_quant_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    quant: &QuantizedFilter,
-    arena: &impl Arena,
-) -> TensorData {
-    crate::gemm::conv2d_im2col_quant(input, params, quant, arena)
 }
 
 /// The naive int8 reference: quantizes the sample and reads the filter's
@@ -272,8 +250,7 @@ pub fn conv2d_naive(input: &TensorData, params: &Conv2dParams, weights: &[f32]) 
 
 /// The depthwise and pointwise weight seeds a separable convolution
 /// derives from its operator seed — the single source of truth shared by
-/// the seeded execution paths and [`crate::batch::BlockWeights`], so the
-/// regenerating and precomputed paths can never drift apart.
+/// [`sep_conv2d`] and [`crate::batch::BlockWeights`].
 #[must_use]
 pub fn sep_conv_seeds(seed: u64) -> (u64, u64) {
     (seed ^ 0xD17, seed ^ 0x0009_0117)
@@ -337,9 +314,8 @@ fn sep_conv_dw_epilogue() -> ConvEpilogue<'static> {
     }
 }
 
-/// [`sep_conv2d_with`] with pooled scratch; the input ReLU is fused into
-/// the depthwise im2col and the depthwise intermediate is recycled before
-/// returning.
+/// [`sep_conv2d_with`] with pooled scratch: packs both natural-layout
+/// filters and runs [`sep_conv2d_packed_pooled`].
 #[must_use]
 pub fn sep_conv2d_pooled(
     input: &TensorData,
@@ -348,62 +324,28 @@ pub fn sep_conv2d_pooled(
     pw_weights: &[f32],
     arena: &impl Arena,
 ) -> TensorData {
-    let dw_params = sep_conv_dw_params(input.shape.channels, params);
-    let depthwise = crate::gemm::conv2d_im2col_fused(
-        input,
-        &dw_params,
-        dw_weights,
-        &sep_conv_dw_epilogue(),
-        arena,
-    );
-    let pw_params = sep_conv_pw_params(params);
-    let out = conv2d_pooled(&depthwise, &pw_params, pw_weights, arena);
-    arena.recycle_tensor(depthwise);
-    out
+    let in_c = input.shape.channels;
+    let dw_packed = PackedFilter::pack(dw_weights, in_c, in_c, params.kernel.0 * params.kernel.1);
+    let pw = ConvKernel::Packed(PackedFilter::pack(pw_weights, params.out_channels, 1, in_c));
+    sep_conv2d_packed_pooled(input, params, &dw_packed, &pw, arena)
 }
 
-/// [`sep_conv2d_pooled`] reading both filters from their pre-packed
-/// tile-major layouts — bit-identical to the unpacked path.
-///
-/// # Panics
-///
-/// Panics if either packed filter does not match its convolution geometry.
-#[must_use]
-pub fn sep_conv2d_packed_pooled(
-    input: &TensorData,
-    params: &Conv2dParams,
-    dw_packed: &crate::gemm::PackedFilter,
-    pw_packed: &crate::gemm::PackedFilter,
-    arena: &impl Arena,
-) -> TensorData {
-    let dw_params = sep_conv_dw_params(input.shape.channels, params);
-    let depthwise = crate::gemm::conv2d_im2col_packed_fused(
-        input,
-        &dw_params,
-        dw_packed,
-        &sep_conv_dw_epilogue(),
-        arena,
-    );
-    let pw_params = sep_conv_pw_params(params);
-    let out = conv2d_packed_pooled(&depthwise, &pw_params, pw_packed, arena);
-    arena.recycle_tensor(depthwise);
-    out
-}
-
-/// [`sep_conv2d_packed_pooled`] with the pointwise stage quantized to
-/// int8: the depthwise stage stays f32 (its reduction is only `kh·kw`
-/// values deep — quantization overhead would dominate), the pointwise
-/// 1×1 — where the unit's compute lives — runs the integer kernel.
+/// A separable unit over its precomputed filters: the input ReLU is fused
+/// into the depthwise im2col, and the depthwise intermediate is recycled
+/// before returning. The depthwise stage is always f32 (its reduction is
+/// only `kh·kw` values deep — quantization overhead would dominate); the
+/// pointwise 1×1, where the unit's compute lives, runs whichever kernel
+/// form `pointwise` holds.
 ///
 /// # Panics
 ///
 /// Panics if either filter does not match its convolution geometry.
 #[must_use]
-pub fn sep_conv2d_quant_pooled(
+pub fn sep_conv2d_packed_pooled(
     input: &TensorData,
     params: &Conv2dParams,
-    dw_packed: &crate::gemm::PackedFilter,
-    pw_quant: &QuantizedFilter,
+    dw_packed: &PackedFilter,
+    pointwise: &ConvKernel,
     arena: &impl Arena,
 ) -> TensorData {
     let dw_params = sep_conv_dw_params(input.shape.channels, params);
@@ -414,8 +356,7 @@ pub fn sep_conv2d_quant_pooled(
         &sep_conv_dw_epilogue(),
         arena,
     );
-    let pw_params = sep_conv_pw_params(params);
-    let out = conv2d_quant_pooled(&depthwise, &pw_params, pw_quant, arena);
+    let out = pointwise.conv(&depthwise, &sep_conv_pw_params(params), arena);
     arena.recycle_tensor(depthwise);
     out
 }
@@ -618,13 +559,9 @@ pub fn relu_pooled(input: &TensorData, arena: &impl Arena) -> TensorData {
 }
 
 /// Executes one operator given its resolved inputs, using deterministic
-/// weights derived from `weight_seed`.
-#[must_use]
-pub fn execute_op(op: &Op, inputs: &[&TensorData], weight_seed: u64) -> TensorData {
-    execute_op_pooled(op, inputs, weight_seed, global_pool())
-}
-
-/// [`execute_op`] with pooled scratch and output storage.
+/// f32 weights derived from `weight_seed` — generated (and packed) per
+/// call exactly as [`crate::batch::BlockWeights::precompute`] builds them,
+/// then run through [`execute_op_with_weights_pooled`].
 #[must_use]
 pub fn execute_op_pooled(
     op: &Op,
@@ -632,27 +569,25 @@ pub fn execute_op_pooled(
     weight_seed: u64,
     arena: &impl Arena,
 ) -> TensorData {
+    match op_weights(&op.kind, inputs[0].shape, weight_seed, WeightPrecision::F32) {
+        Some(w) => execute_op_with_weights_pooled(op, inputs, &w, arena),
+        None => execute_unweighted_op_pooled(op, inputs, arena),
+    }
+}
+
+/// Executes one operator that carries no weights (pooling, concat, add,
+/// ReLU, identity).
+///
+/// # Panics
+///
+/// Panics if `op` is a weighted operator.
+pub(crate) fn execute_unweighted_op_pooled(
+    op: &Op,
+    inputs: &[&TensorData],
+    arena: &impl Arena,
+) -> TensorData {
     match &op.kind {
-        OpKind::Conv2d(p) => {
-            let in_c_per_group = inputs[0].shape.channels / p.groups;
-            let w = conv_weights(weight_seed, p.out_channels, in_c_per_group, p.kernel);
-            conv2d_pooled(inputs[0], p, &w, arena)
-        }
-        OpKind::SepConv2d(p) => {
-            let (dw_seed, pw_seed) = sep_conv_seeds(weight_seed);
-            let dw = conv_weights(dw_seed, inputs[0].shape.channels, 1, p.kernel);
-            let pw = conv_weights(pw_seed, p.out_channels, inputs[0].shape.channels, (1, 1));
-            sep_conv2d_pooled(inputs[0], p, &dw, &pw, arena)
-        }
         OpKind::Pool(p) => pool_pooled(inputs[0], p, arena),
-        OpKind::MatMul(p) => {
-            let w = matmul_weights(
-                weight_seed,
-                p.out_features,
-                inputs[0].shape.elements_per_item(),
-            );
-            matmul_pooled(inputs[0], p, &w, arena)
-        }
         OpKind::Concat => concat_pooled(inputs, arena),
         OpKind::Add => add_pooled(inputs, arena),
         OpKind::Relu => relu_pooled(inputs[0], arena),
@@ -661,26 +596,14 @@ pub fn execute_op_pooled(
             out.data.copy_from_slice(&inputs[0].data);
             out
         }
+        OpKind::Conv2d(_) | OpKind::SepConv2d(_) | OpKind::MatMul(_) => {
+            panic!("weighted operator {} executed without weights", op.name)
+        }
     }
 }
 
-/// Executes one weighted operator with precomputed weights. Bit-identical
-/// to [`execute_op`] when the weights come from
-/// [`crate::batch::BlockWeights::precompute`].
-///
-/// # Panics
-///
-/// Panics if the weight kind does not match the operator kind.
-#[must_use]
-pub fn execute_op_with_weights(
-    op: &Op,
-    inputs: &[&TensorData],
-    weights: &crate::batch::OpWeights,
-) -> TensorData {
-    execute_op_with_weights_pooled(op, inputs, weights, global_pool())
-}
-
-/// [`execute_op_with_weights`] with pooled scratch and output storage.
+/// Executes one weighted operator with precomputed weights
+/// ([`crate::batch::BlockWeights::precompute`]).
 ///
 /// # Panics
 ///
@@ -689,35 +612,18 @@ pub fn execute_op_with_weights(
 pub fn execute_op_with_weights_pooled(
     op: &Op,
     inputs: &[&TensorData],
-    weights: &crate::batch::OpWeights,
+    weights: &OpWeights,
     arena: &impl Arena,
 ) -> TensorData {
-    use crate::batch::OpWeights;
     match (&op.kind, weights) {
-        (
-            OpKind::Conv2d(p),
-            OpWeights::Conv {
-                packed, quantized, ..
-            },
-        ) => match (quantized, packed) {
-            (Some(quant), _) => conv2d_quant_pooled(inputs[0], p, quant, arena),
-            (None, Some(packed)) => conv2d_packed_pooled(inputs[0], p, packed, arena),
-            (None, None) => unreachable!("precomputed conv weights carry packed or quantized"),
-        },
+        (OpKind::Conv2d(p), OpWeights::Conv(kernel)) => kernel.conv(inputs[0], p, arena),
         (
             OpKind::SepConv2d(p),
             OpWeights::SepConv {
-                depthwise_packed,
-                pointwise_packed,
-                pointwise_quant,
+                depthwise,
+                pointwise,
             },
-        ) => match (pointwise_quant, pointwise_packed) {
-            (Some(quant), _) => {
-                sep_conv2d_quant_pooled(inputs[0], p, depthwise_packed, quant, arena)
-            }
-            (None, Some(pw)) => sep_conv2d_packed_pooled(inputs[0], p, depthwise_packed, pw, arena),
-            (None, None) => unreachable!("precomputed sepconv weights carry a pointwise stage"),
-        },
+        ) => sep_conv2d_packed_pooled(inputs[0], p, depthwise, pointwise, arena),
         (OpKind::MatMul(p), OpWeights::MatMul(w)) => matmul_pooled(inputs[0], p, w, arena),
         (kind, _) => panic!("mismatched precomputed weights for operator kind {kind:?}"),
     }

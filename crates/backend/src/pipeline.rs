@@ -1,8 +1,9 @@
 //! Cross-block pipelined network execution.
 //!
-//! [`crate::execute_network_batched`] exploits parallelism *across* the
-//! samples of one batch, with a barrier at the end: every sample runs the
-//! whole network, and the batch completes when the slowest worker does. A
+//! [`crate::execute_network_batched_capped`] exploits parallelism *across*
+//! the samples of one batch, with a barrier at the end: every sample runs
+//! the whole network, and the batch completes when the slowest worker
+//! does. A
 //! pipeline cuts the network's block sequence into contiguous segments
 //! ([`SegmentPlan`]) instead and gives each segment a long-lived stage
 //! worker: samples stream through the segments, so block `k` of sample
@@ -15,8 +16,9 @@
 //! Each stage worker runs its blocks through the same per-sample pooled
 //! executor the batched path uses ([`crate::batch`]'s block-range runner),
 //! with each block under its IOS-optimized schedule — so per-sample
-//! results are **bit-identical** to [`crate::execute_network_batched`] and
-//! to solo [`crate::execute_network`] runs, for every segmentation
+//! results are **bit-identical** to
+//! [`crate::execute_network_batched_capped`] and to solo
+//! [`crate::execute_network`] runs, for every segmentation
 //! (including the degenerate single-segment and one-segment-per-block
 //! plans).
 //!
@@ -164,8 +166,8 @@ impl PipelinedNetworkExecutor {
 
     /// Streams the samples of a stacked batch through the pipeline and
     /// restacks their outputs in sample order. Per-sample results are
-    /// bit-identical to [`crate::execute_network_batched`] with the same
-    /// schedule, and to solo [`crate::execute_network`] runs.
+    /// bit-identical to [`crate::execute_network_batched_capped`] with the
+    /// same schedule, and to solo [`crate::execute_network`] runs.
     ///
     /// The returned stacked tensors draw from the executor's pool; recycle
     /// them there to keep the boundary allocation-free.
@@ -414,7 +416,7 @@ pub fn execute_network_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{execute_network, execute_network_batched, split_batch, stack_batch};
+    use crate::batch::{execute_network, execute_network_batched_capped, split_batch, stack_batch};
     use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
     use ios_ir::{Block, Conv2dParams, GraphBuilder, PoolParams, TensorShape};
     use ios_sim::{DeviceKind, Simulator};
@@ -466,8 +468,14 @@ mod tests {
         let refs: Vec<&TensorData> = samples.iter().collect();
         let stacked = stack_batch(&refs);
         let arena = ScratchPool::new();
-        let flat =
-            execute_network_batched(&net, None, &weights, std::slice::from_ref(&stacked), &arena);
+        let flat = execute_network_batched_capped(
+            &net,
+            None,
+            &weights,
+            std::slice::from_ref(&stacked),
+            &arena,
+            usize::MAX,
+        );
 
         for plan in [
             SegmentPlan::single(4),
@@ -506,12 +514,13 @@ mod tests {
         let refs: Vec<&TensorData> = samples.iter().collect();
         let stacked = stack_batch(&refs);
         let arena = ScratchPool::new();
-        let flat = execute_network_batched(
+        let flat = execute_network_batched_capped(
             &net,
             Some(&schedule),
             &weights,
             std::slice::from_ref(&stacked),
             &arena,
+            usize::MAX,
         );
         let plan = SegmentPlan::even(4, 2);
         let piped = execute_network_pipelined(&net, Some(&schedule), &weights, &[stacked], &plan);
@@ -549,8 +558,14 @@ mod tests {
         // each collects exactly its own samples.
         let other = batch(90, 2);
         let arena = ScratchPool::new();
-        let other_expected =
-            execute_network_batched(&net, None, &weights, std::slice::from_ref(&other), &arena);
+        let other_expected = execute_network_batched_capped(
+            &net,
+            None,
+            &weights,
+            std::slice::from_ref(&other),
+            &arena,
+            usize::MAX,
+        );
         std::thread::scope(|scope| {
             let exec = &executor;
             let expected = &expected;

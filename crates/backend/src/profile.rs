@@ -189,12 +189,12 @@ pub enum GroupMode {
     #[default]
     Parallel,
     /// Groups serially on the calling thread, like
-    /// [`crate::executor::execute_schedule_pooled_serial`].
+    /// [`crate::execute_schedule_pooled`] with `parallel_groups` off.
     Serial,
     /// Match the batched serving executor per graph instance: batch-1
     /// graphs run their groups on threads (that is how a lone request
     /// executes), batch>1 graphs run them serially (inside
-    /// `execute_network_batched`'s per-sample workers, the cores are
+    /// `execute_network_batched_capped`'s per-sample workers, the cores are
     /// already busy and stage groups run serially). This keeps the
     /// profiled latencies aligned with the exact execution mode a serving
     /// engine will use at each batch size.
@@ -427,7 +427,7 @@ impl CpuStageProfiler {
             graph,
             stage,
             inputs,
-            Some(weights),
+            weights,
             outputs,
             &self.pool,
             self.parallel_groups_for(graph),

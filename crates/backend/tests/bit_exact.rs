@@ -6,22 +6,20 @@
 //! groups, batch sizes — and SIMD ISAs: the dispatch module's forced-ISA
 //! hook pins every supported tier to the same bits.
 
-use ios_backend::gemm::{
-    conv2d_im2col_fused, conv2d_im2col_packed_fused, conv2d_im2col_quant_fused,
-};
+use ios_backend::gemm::{conv2d_im2col_packed_fused, conv2d_im2col_quant_fused};
 use ios_backend::ops_cpu::{
-    conv2d, conv2d_naive, conv2d_naive_quant, conv2d_packed, conv_weights, matmul, matmul_weights,
-    pool,
+    conv2d, conv2d_naive, conv2d_naive_quant, conv_weights, matmul, matmul_weights, pool,
 };
 use ios_backend::{
-    execute_graph, execute_graph_pooled, execute_graph_uncached, execute_network,
-    execute_network_batched, execute_network_batched_capped, execute_network_pipelined,
-    sample_scale, split_batch, BlockWeights, ConvEpilogue, NetworkWeights, PackedFilter,
-    QuantizedFilter, ScratchPool, TensorData, WeightPrecision,
+    execute_graph, execute_graph_pooled, execute_network, execute_network_batched_capped,
+    execute_network_pipelined, execute_schedule_pooled, sample_scale, split_batch, BlockWeights,
+    ConvEpilogue, NetworkWeights, PackedFilter, QuantizedFilter, ScratchPool, TensorData,
+    WeightPrecision,
 };
+use ios_core::{ParallelizationStrategy, Schedule, Stage};
 use ios_ir::{
-    Activation, Block, Conv2dParams, GraphBuilder, MatMulParams, Network, PoolKind, PoolParams,
-    SegmentPlan, TensorShape,
+    Activation, Block, Conv2dParams, Graph, GraphBuilder, MatMulParams, Network, OpId, PoolKind,
+    PoolParams, SegmentPlan, TensorShape,
 };
 use proptest::prelude::*;
 
@@ -77,6 +75,12 @@ fn pool_reference(input: &TensorData, params: &PoolParams) -> TensorData {
     out
 }
 
+/// The output shape of convolution `params` over an input of `shape`.
+fn conv_output_shape(shape: TensorShape, params: &Conv2dParams) -> TensorShape {
+    let (oh, ow) = shape.conv_output_hw(params.kernel, params.stride, params.padding);
+    TensorShape::new(shape.batch, params.out_channels, oh, ow)
+}
+
 /// The original row-times-matrix reference for the blocked matmul.
 fn matmul_reference(input: &TensorData, params: &MatMulParams, weights: &[f32]) -> TensorData {
     let in_features = input.shape.elements_per_item();
@@ -120,6 +124,33 @@ fn tiny_network() -> Network {
     Network::new("prop_tiny", input, vec![block0, block1])
 }
 
+/// A schedule for block 0 of [`tiny_network`] that merges the shared-input
+/// convolutions `a` (3×3) and `c` (1×1) into one padded kernel, then runs
+/// the pool and the concat as two concurrent groups.
+fn tiny_merge_schedule(graph: &Graph) -> Schedule {
+    let stage = |ops: Vec<OpId>, strategy, groups| Stage {
+        ops: ops.into_iter().collect(),
+        strategy,
+        groups,
+        measured_latency_us: 1.0,
+    };
+    Schedule::new(
+        graph.name(),
+        vec![
+            stage(
+                vec![OpId(0), OpId(1)],
+                ParallelizationStrategy::OperatorMerge,
+                vec![vec![OpId(0), OpId(1)]],
+            ),
+            stage(
+                vec![OpId(2), OpId(3)],
+                ParallelizationStrategy::ConcurrentExecution,
+                vec![vec![OpId(2)], vec![OpId(3)]],
+            ),
+        ],
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -157,16 +188,13 @@ proptest! {
         };
         let input = TensorData::random(shape, seed);
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
-        let fast = conv2d(&input, &params, &weights);
-        let reference = conv2d_naive(&input, &params, &weights);
-        prop_assert_eq!(&fast, &reference);
-        // The tile-major packed layout must consume exactly the same weight
-        // values in the same per-element order: bit-identical to both the
-        // unpacked GEMM and the naive oracle.
-        let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
-        let packed_out = conv2d_packed(&input, &params, &packed);
-        prop_assert_eq!(&packed_out, &fast);
-        prop_assert_eq!(&packed_out, &reference);
+        // The natural-layout entry point packs the filter into the
+        // tile-major layout, which must consume exactly the same weight
+        // values in the same per-element order as the naive oracle.
+        prop_assert_eq!(
+            conv2d(&input, &params, &weights),
+            conv2d_naive(&input, &params, &weights)
+        );
     }
 
     #[test]
@@ -267,7 +295,7 @@ proptest! {
             }
         }
         let plain = Conv2dParams { activation: Activation::None, ..params };
-        let mut reference = conv2d(&pre, &plain, &weights);
+        let mut reference = conv2d_naive(&pre, &plain, &weights);
         let out_shape = reference.shape;
         let plane = out_shape.height * out_shape.width;
         let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
@@ -300,8 +328,6 @@ proptest! {
             relu: ep_relu,
         };
         let arena = ScratchPool::new();
-        let fused = conv2d_im2col_fused(&input, &params, &weights, &ep, &arena);
-        prop_assert_eq!(&fused, &reference);
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
         let packed_fused = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena);
         prop_assert_eq!(&packed_fused, &reference);
@@ -327,11 +353,11 @@ proptest! {
         use_residual in any::<bool>(),
         ep_relu in any::<bool>(),
     ) {
-        // The explicit AVX2 f32 tiles (mirroring the int8 "avx2 must match
-        // scalar" pin): both GEMM paths must produce bit-identical outputs
-        // under every ISA the host supports, across random shapes — edge
-        // tiles (partial mr/nr) included via the free-ranging out_c and
-        // spatial extents — and every epilogue combination.
+        // The explicit AVX2 f32 tile (mirroring the int8 "avx2 must match
+        // scalar" pin): the kernel must produce bit-identical outputs under
+        // every ISA the host supports, across random shapes — edge tiles
+        // (partial mr/nr) included via the free-ranging out_c and spatial
+        // extents — and every epilogue combination.
         use ios_backend::simd::{self, Isa};
         let groups = [1usize, 2, 3][group_case];
         let in_c = channels_per_group * groups;
@@ -351,9 +377,8 @@ proptest! {
         let weights = conv_weights(seed ^ 0xC0DE, out_c, channels_per_group, (kh, kw));
         let packed = PackedFilter::pack(&weights, out_c, groups, channels_per_group * kh * kw);
         let arena = ScratchPool::new();
-        let probe = conv2d_im2col_fused(&input, &params, &weights, &ConvEpilogue::default(), &arena);
         let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
-        let residual = TensorData::random(probe.shape, seed ^ 0x9E5);
+        let residual = TensorData::random(conv_output_shape(shape, &params), seed ^ 0x9E5);
         let ep = ConvEpilogue {
             input_relu,
             bias: use_bias.then_some(bias.as_slice()),
@@ -362,20 +387,15 @@ proptest! {
         };
         let run = |isa: Isa| {
             simd::with_forced_isa(isa, || {
-                (
-                    conv2d_im2col_fused(&input, &params, &weights, &ep, &arena),
-                    conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena),
-                )
+                conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena)
             })
         };
-        let (ref_unpacked, ref_packed) = run(Isa::Scalar);
+        let reference = run(Isa::Scalar);
         for isa in [Isa::Sse2, Isa::Avx2] {
             if isa > simd::detected_isa() {
                 continue;
             }
-            let (unpacked, packed_out) = run(isa);
-            prop_assert_eq!(&unpacked, &ref_unpacked, "unpacked f32 path differs on {}", isa);
-            prop_assert_eq!(&packed_out, &ref_packed, "packed f32 path differs on {}", isa);
+            prop_assert_eq!(&run(isa), &reference, "f32 kernel differs on {}", isa);
         }
     }
 
@@ -419,9 +439,8 @@ proptest! {
         let quant = QuantizedFilter::quantize(&weights, out_c, groups, k_len);
 
         let arena = ScratchPool::new();
-        let probe = conv2d_im2col_fused(&input, &params, &weights, &ConvEpilogue::default(), &arena);
         let bias = conv_weights(seed ^ 0xB1A5, out_c, 1, (1, 1));
-        let residual = TensorData::random(probe.shape, seed ^ 0x9E5);
+        let residual = TensorData::random(conv_output_shape(shape, &params), seed ^ 0x9E5);
         let ep = ConvEpilogue {
             input_relu,
             bias: use_bias.then_some(bias.as_slice()),
@@ -439,7 +458,8 @@ proptest! {
         // within the documented k_len · s_in · s_w[oc] · 128 bound (one
         // half-step rounding per quantized operand, no clamping by
         // construction of the scales).
-        let f32_out = conv2d_im2col_fused(&input, &params, &weights, &ep, &arena);
+        let packed = PackedFilter::pack(&weights, out_c, groups, k_len);
+        let f32_out = conv2d_im2col_packed_fused(&input, &params, &packed, &ep, &arena);
         let per_item = input.shape.elements_per_item();
         let plane = f32_out.shape.height * f32_out.shape.width;
         for n in 0..f32_out.shape.batch {
@@ -486,15 +506,33 @@ proptest! {
 
     #[test]
     fn arena_backed_executor_is_bit_identical(seed in any::<u64>()) {
+        // Sequential and merged-schedule execution on an arena dirtied by
+        // an earlier run must reproduce a fresh sequential run bit for bit,
+        // at both precisions: the merged 3×3 + 1×1 stage runs the block's
+        // own kernel form over a zero-padded filter.
         let net = tiny_network();
         let graph = &net.blocks[0].graph;
         let inputs = vec![TensorData::random(net.input_shape, seed)];
-        let reference = execute_graph_uncached(graph, &inputs);
-        prop_assert_eq!(&execute_graph(graph, &inputs), &reference);
-        let weights = BlockWeights::precompute(graph);
+        let schedule = tiny_merge_schedule(graph);
         let arena = ScratchPool::new();
-        let pooled = execute_graph_pooled(graph, &inputs, Some(&weights), &arena);
-        prop_assert_eq!(&pooled, &reference);
+        let dirty = [TensorData::random(net.input_shape, !seed)];
+        for t in execute_graph_pooled(graph, &dirty, &BlockWeights::precompute(graph), &arena) {
+            arena.recycle_tensor(t);
+        }
+        for precision in [WeightPrecision::F32, WeightPrecision::Int8] {
+            let weights = BlockWeights::precompute_as(graph, precision);
+            let reference = execute_graph_pooled(graph, &inputs, &weights, &ScratchPool::new());
+            if precision == WeightPrecision::F32 {
+                prop_assert_eq!(&execute_graph(graph, &inputs), &reference);
+            }
+            let pooled = execute_graph_pooled(graph, &inputs, &weights, &arena);
+            prop_assert_eq!(&pooled, &reference, "{:?} sequential", precision);
+            for parallel in [true, false] {
+                let scheduled =
+                    execute_schedule_pooled(graph, &schedule, &inputs, &weights, &arena, parallel);
+                prop_assert_eq!(&scheduled, &reference, "{:?} merged schedule", precision);
+            }
+        }
     }
 
     #[test]
@@ -510,7 +548,8 @@ proptest! {
         let refs: Vec<&TensorData> = samples.iter().collect();
         let stacked = ios_backend::stack_batch(&refs);
         let arena = ScratchPool::new();
-        let batched = execute_network_batched(&net, None, &weights, &[stacked], &arena);
+        let batched = execute_network_batched_capped(
+            &net, None, &weights, &[stacked], &arena, usize::MAX);
         let per_output: Vec<Vec<TensorData>> = batched.iter().map(split_batch).collect();
         for (i, sample) in samples.iter().enumerate() {
             let solo = execute_network(&net, std::slice::from_ref(sample));
@@ -574,7 +613,13 @@ fn batched_execution_boundary_is_allocation_free_in_steady_state() {
     }
     // The parallel fan-out shares the same pool and produces the same
     // stacked outputs (its allocation count depends on interleaving).
-    let parallel =
-        execute_network_batched(&net, None, &weights, std::slice::from_ref(&stacked), &arena);
+    let parallel = execute_network_batched_capped(
+        &net,
+        None,
+        &weights,
+        std::slice::from_ref(&stacked),
+        &arena,
+        usize::MAX,
+    );
     assert_eq!(parallel, first);
 }

@@ -8,8 +8,8 @@
 //! with and without an IOS schedule.
 
 use ios_backend::{
-    execute_network, execute_network_batched, execute_network_pipelined, split_batch, stack_batch,
-    NetworkWeights, ScratchPool, TensorData,
+    execute_network, execute_network_batched_capped, execute_network_pipelined, split_batch,
+    stack_batch, NetworkWeights, ScratchPool, TensorData,
 };
 use ios_core::{optimize_network, SchedulerConfig, SimCostModel};
 use ios_ir::{
@@ -126,7 +126,8 @@ proptest! {
         let stacked = stack_batch(&refs);
 
         let arena = ScratchPool::new();
-        let flat = execute_network_batched(&net, None, &weights, std::slice::from_ref(&stacked), &arena);
+        let flat = execute_network_batched_capped(
+            &net, None, &weights, std::slice::from_ref(&stacked), &arena, usize::MAX);
         for plan in plans_under_test(net.blocks.len(), cut_mask) {
             let piped = execute_network_pipelined(&net, None, &weights, std::slice::from_ref(&stacked), &plan);
             prop_assert_eq!(
@@ -169,12 +170,13 @@ proptest! {
         let stacked = stack_batch(&refs);
 
         let arena = ScratchPool::new();
-        let flat = execute_network_batched(
+        let flat = execute_network_batched_capped(
             &net,
             Some(&schedule),
             &weights,
             std::slice::from_ref(&stacked),
             &arena,
+            usize::MAX,
         );
         for plan in plans_under_test(net.blocks.len(), cut_mask) {
             let piped = execute_network_pipelined(

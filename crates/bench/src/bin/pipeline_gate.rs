@@ -7,8 +7,8 @@
 //!
 //! * **flat batched serving** — the shipped single-dispatch fast path:
 //!   each batch fans its samples out over all cores
-//!   (`execute_network_batched`), and the next batch starts only when the
-//!   slowest sample of the previous one finished;
+//!   (`execute_network_batched_capped`), and the next batch starts only
+//!   when the slowest sample of the previous one finished;
 //! * **pipelined serving** — a persistent [`PipelinedNetworkExecutor`]
 //!   whose segment boundaries were planned from per-block latencies
 //!   *measured under concurrent load* (`CpuStageProfiler` with background
@@ -32,7 +32,7 @@
 //! (`--quick` shortens the stream and the profiling policy for CI).
 
 use ios_backend::{
-    execute_network_batched, stack_batch, CpuStageProfiler, GroupMode, NetworkWeights,
+    execute_network_batched_capped, stack_batch, CpuStageProfiler, GroupMode, NetworkWeights,
     PipelinedNetworkExecutor, ScratchPool, TensorData,
 };
 use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
@@ -178,12 +178,13 @@ fn main() {
     // The gate is only meaningful if the pipeline is correct: bit-identical
     // stacked outputs on every batch of the stream (also warms both pools).
     for stacked in &stacked_batches {
-        let flat = execute_network_batched(
+        let flat = execute_network_batched_capped(
             &net,
             None,
             &weights,
             std::slice::from_ref(stacked),
             &flat_pool,
+            usize::MAX,
         );
         let piped = executor.execute_batch(None, std::slice::from_ref(stacked));
         assert_eq!(
@@ -202,12 +203,13 @@ fn main() {
     // full barrier between batches.
     let flat_ms = best_ms(iters, || {
         for stacked in &stacked_batches {
-            let outs = execute_network_batched(
+            let outs = execute_network_batched_capped(
                 &net,
                 None,
                 &weights,
                 std::slice::from_ref(stacked),
                 &flat_pool,
+                usize::MAX,
             );
             for t in outs {
                 flat_pool.recycle_tensor(t);

@@ -175,9 +175,9 @@ fn main() {
             .collect();
 
         // The gate is only meaningful if the profiled schedule is correct.
-        let reference = execute_graph_pooled(graph, &inputs, Some(&weights), &pool);
+        let reference = execute_graph_pooled(graph, &inputs, &weights, &pool);
         let scheduled =
-            execute_schedule_pooled(graph, &ios.schedule, &inputs, Some(&weights), &pool);
+            execute_schedule_pooled(graph, &ios.schedule, &inputs, &weights, &pool, true);
         let diff = max_abs_difference(&reference, &scheduled);
         assert!(
             diff <= 1e-3,
@@ -187,22 +187,22 @@ fn main() {
             pool.recycle_tensor(t);
         }
         // Warm the sim-guided path's merged-weight cache too.
-        for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, Some(&weights), &pool) {
+        for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, &weights, &pool, true) {
             pool.recycle_tensor(t);
         }
 
         let seq_ms = best_ms(iters, || {
-            for t in execute_graph_pooled(graph, &inputs, Some(&weights), &pool) {
+            for t in execute_graph_pooled(graph, &inputs, &weights, &pool) {
                 pool.recycle_tensor(t);
             }
         });
         let ios_ms = best_ms(iters, || {
-            for t in execute_schedule_pooled(graph, &ios.schedule, &inputs, Some(&weights), &pool) {
+            for t in execute_schedule_pooled(graph, &ios.schedule, &inputs, &weights, &pool, true) {
                 pool.recycle_tensor(t);
             }
         });
         let sim_guided_ms = best_ms(iters, || {
-            for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, Some(&weights), &pool) {
+            for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, &weights, &pool, true) {
                 pool.recycle_tensor(t);
             }
         });

@@ -103,7 +103,7 @@ pub trait BatchExecutor: Send + Sync + 'static {
 /// Executes batches numerically on the CPU execution engine.
 ///
 /// Batches fan out across worker threads, one sample per task
-/// ([`execute_network_batched`]), with all scratch and intermediate
+/// ([`execute_network_batched_capped`]), with all scratch and intermediate
 /// tensors drawn from a long-lived [`ScratchPool`] — after the first batch
 /// of a given shape profile, the op loop performs no heap allocation.
 /// Per-sample results are bit-identical to solo `execute_network` runs.
