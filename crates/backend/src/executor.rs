@@ -439,8 +439,9 @@ pub fn max_abs_difference(a: &[TensorData], b: &[TensorData]) -> f32 {
 
 /// Executes the graph both sequentially and under `schedule` with the same
 /// random inputs and returns the largest absolute difference across all
-/// operator outputs. A value within floating point tolerance (≤ 1e-3 for the
-/// padded-kernel merges) demonstrates the schedule preserves semantics.
+/// operator outputs. Every valid schedule reproduces sequential execution
+/// bit for bit (merged stages add exact zeros for padded taps, concurrent
+/// groups run the same kernels), so anything but `0.0` is a bug.
 #[must_use]
 pub fn verify_schedule(graph: &Graph, schedule: &Schedule, seed: u64) -> f32 {
     let inputs: Vec<TensorData> = graph
@@ -540,7 +541,7 @@ mod tests {
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
         let schedule = greedy_schedule(&g, &cost);
         let diff = verify_schedule(&g, &schedule, 3);
-        assert!(diff < 1e-5, "difference = {diff}");
+        assert_eq!(diff, 0.0);
     }
 
     #[test]
@@ -549,7 +550,7 @@ mod tests {
         let cost = SimCostModel::new(Simulator::new(DeviceKind::TeslaV100));
         let result = schedule_graph(&g, &cost, &SchedulerConfig::paper_default());
         let diff = verify_schedule(&g, &result.schedule, 7);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0);
     }
 
     #[test]
@@ -745,7 +746,7 @@ mod tests {
             ],
         );
         let diff = verify_schedule(&g, &schedule, 13);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0);
     }
 
     #[test]

@@ -520,7 +520,7 @@ mod tests {
         assert!(result.latency_us > 0.0);
         assert!(cost.measurement_count() > 0);
         let diff = verify_schedule(&g, &result.schedule, 17);
-        assert!(diff < 1e-3, "difference = {diff}");
+        assert_eq!(diff, 0.0);
     }
 
     #[test]

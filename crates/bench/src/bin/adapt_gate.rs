@@ -22,16 +22,16 @@
 //! ≥ 2 cores the accepted-p99 must stay ≤ 3× the unloaded p99; on a
 //! single-core host client threads, worker and controller all contend for
 //! one CPU, so the gate relaxes the ratio to 6× (shedding still has to
-//! prove exact accounting and bit-identity there). The JSON report
-//! (`BENCH_adapt.json`, plus `--json PATH`) records both bars, every
-//! counter and which bar was enforced.
+//! prove exact accounting and bit-identity there). The report records
+//! both bars, every counter and which bar was enforced.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin adapt_gate`
 //! (`--quick` shortens the request streams for CI).
 
 use ios_backend::{execute_network, TensorData};
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_bench::gate::{self, chain_network, host_bar, host_cores};
+use ios_bench::{fmt3, render_table, BenchOptions};
+use ios_ir::TensorShape;
 use ios_serve::{PipelineMode, Rejected, ServeConfig, ServeEngine, ServeError};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,40 +58,13 @@ struct Report {
     pass: bool,
 }
 
-/// The serving workload: a three-block branchy stack, heavy enough
-/// (~16-channel 3×3 convs) that execution time dominates scheduling
-/// jitter, small enough that the gate finishes in seconds.
-fn gate_network() -> Network {
-    let input = TensorShape::new(1, 16, 12, 12);
-    let mut shape = input;
-    let mut blocks = Vec::with_capacity(3);
-    for i in 0..3 {
-        let mut b = GraphBuilder::new(format!("adapt_gate_b{i}"), shape);
-        let x = b.input(0);
-        let a = b.conv2d(
-            format!("b{i}_a3"),
-            x,
-            Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)),
-        );
-        let c = b.conv2d(
-            format!("b{i}_c1"),
-            x,
-            Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)),
-        );
-        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
-        let block = Block::new(b.build(vec![cat]));
-        shape = block.graph.output_shapes()[0];
-        blocks.push(block);
-    }
-    Network::new("adapt_gate_net", input, blocks)
-}
-
 fn main() {
     let opts = BenchOptions::from_args();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let net = gate_network();
+    let cores = host_cores();
+    // A three-block branchy stack, heavy enough (16-channel 3×3 convs)
+    // that execution time dominates scheduling jitter, small enough that
+    // the gate finishes in seconds.
+    let net = chain_network(TensorShape::new(1, 16, 12, 12), 3, false);
     let references: Vec<Vec<TensorData>> = (0..8)
         .map(|seed| {
             let input = TensorData::random(net.input_shape, seed);
@@ -273,16 +246,16 @@ fn main() {
     // ---- Verdict ---------------------------------------------------
     let multi_core_bar = 3.0;
     let single_core_bar = 6.0;
-    let bar = if cores >= 2 {
-        multi_core_bar
-    } else {
-        println!(
-            "single-core host: clients, worker and controller contend for one CPU, so the \
-             latency ratio bar relaxes to {single_core_bar:.1}x (>= 2 cores enforces \
-             {multi_core_bar:.1}x). Accounting, shedding and bit-identity are still enforced."
-        );
-        single_core_bar
-    };
+    let bar = host_bar(
+        cores,
+        multi_core_bar,
+        single_core_bar,
+        &format!(
+            "clients, worker and controller contend for one CPU, so the latency ratio bar \
+             relaxes to {single_core_bar:.1}x (>= 2 cores enforces {multi_core_bar:.1}x). \
+             Accounting, shedding and bit-identity are still enforced."
+        ),
+    );
     let checks = bitexact_checks.load(Ordering::SeqCst);
     let violations = bitexact_violations.load(Ordering::SeqCst);
     let pass = phase_ok
@@ -315,7 +288,6 @@ fn main() {
             ]],
         )
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         host_parallelism: cores,
@@ -334,16 +306,5 @@ fn main() {
         bitexact_violations: violations,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_adapt.json", json) {
-                eprintln!("failed to write BENCH_adapt.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_adapt.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("adapt", &opts, pass, &report);
 }

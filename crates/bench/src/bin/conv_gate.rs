@@ -4,22 +4,18 @@
 //! pre-packed once before timing ([`conv2d_packed_pooled`], the kernel
 //! precomputed weights run) against the naive 7-deep reference loop
 //! ([`conv2d_naive`]) on the Inception-/SqueezeNet-shaped layers of
-//! [`ios_bench::conv_bench_shapes`], after first asserting the two paths
+//! [`ios_bench::gate::conv_bench_shapes`], after first asserting the two paths
 //! are **bit-identical** on every shape. The acceptance bar is a geometric
 //! mean speedup ≥ 3×.
-//!
-//! A machine-readable report is always written to `BENCH_conv.json` (and
-//! additionally to `--json PATH` when given) so the kernel's performance
-//! trajectory is tracked across PRs.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin conv_gate`
 //! (`--quick` halves the channel counts and the iteration count).
 
-use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled, conv_weights};
-use ios_backend::{PackedFilter, ScratchPool, TensorData};
-use ios_bench::{conv_bench_shapes, fmt3, geomean, maybe_write_json, render_table, BenchOptions};
+use ios_backend::ops_cpu::{conv2d_naive, conv2d_packed_pooled};
+use ios_backend::ScratchPool;
+use ios_bench::gate::{self, best_ms, conv_bench_shapes};
+use ios_bench::{fmt3, geomean, render_table, BenchOptions};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
 struct ConvRow {
@@ -38,17 +34,6 @@ struct Report {
     pass: bool,
 }
 
-/// Best (minimum) wall time of `iters` runs of `f`, in milliseconds.
-fn best_ms<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn main() {
     let opts = BenchOptions::from_args();
     let iters = if opts.quick { 3 } else { 5 };
@@ -62,44 +47,24 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in &cases {
-        let input = TensorData::random(case.input, 7);
-        let in_c_per_group = case.input.channels / case.params.groups;
-        let weights = conv_weights(
-            11,
-            case.params.out_channels,
-            in_c_per_group,
-            case.params.kernel,
-        );
-        let packed = PackedFilter::pack(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            in_c_per_group * case.params.kernel.0 * case.params.kernel.1,
-        );
+        let ops = case.operands();
 
         // The gate is only meaningful if the fast path is exact.
-        let fast = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
-        let reference = conv2d_naive(&input, &case.params, &weights);
+        let fast = conv2d_packed_pooled(&ops.input, &case.params, &ops.packed, &arena);
+        let reference = conv2d_naive(&ops.input, &case.params, &ops.weights);
         assert_eq!(
             fast, reference,
             "{}: im2col/GEMM output must be bit-identical to the naive kernel",
             case.name
         );
-        let (oh, ow) =
-            case.input
-                .conv_output_hw(case.params.kernel, case.params.stride, case.params.padding);
-        let macs = (case.params.out_channels
-            * in_c_per_group
-            * case.params.kernel.0
-            * case.params.kernel.1
-            * oh
-            * ow
-            * case.input.batch) as u64;
+        let macs = (ops.k_len * ops.out_shape.num_elements()) as u64;
         arena.recycle_tensor(fast);
 
-        let naive_ms = best_ms(iters, || conv2d_naive(&input, &case.params, &weights));
+        let naive_ms = best_ms(iters, || {
+            conv2d_naive(&ops.input, &case.params, &ops.weights)
+        });
         let gemm_ms = best_ms(iters * 3, || {
-            let out = conv2d_packed_pooled(&input, &case.params, &packed, &arena);
+            let out = conv2d_packed_pooled(&ops.input, &case.params, &ops.packed, &arena);
             arena.recycle_tensor(out);
         });
         rows.push(ConvRow {
@@ -137,7 +102,6 @@ fn main() {
     let bar = 3.0;
     let pass = mean >= bar;
     println!("geomean speedup: {mean:.2}x (acceptance bar: >= {bar:.2}x)");
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         rows,
@@ -145,16 +109,5 @@ fn main() {
         acceptance_bar: bar,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_conv.json", json) {
-                eprintln!("failed to write BENCH_conv.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_conv.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("conv", &opts, pass, &report);
 }

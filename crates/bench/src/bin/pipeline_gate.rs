@@ -24,9 +24,9 @@
 //! reach **≥ 1.15×** the flat throughput; on a single-core host no
 //! pipeline can beat flat execution through concurrency — the planner's
 //! job is to *recognize* that and fall back to the single-segment plan —
-//! so the gate enforces no-regression (≥ 0.95×) instead. The JSON report
-//! (`BENCH_pipeline.json`, plus `--json PATH`) records which bar was
-//! enforced, the chosen plan and the measured per-block costs.
+//! so the gate enforces no-regression (≥ 0.95×) instead. The report
+//! records which bar was enforced, the chosen plan and the measured
+//! per-block costs.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin pipeline_gate`
 //! (`--quick` shortens the stream and the profiling policy for CI).
@@ -35,13 +35,13 @@ use ios_backend::{
     execute_network_batched_capped, stack_batch, CpuStageProfiler, GroupMode, NetworkWeights,
     PipelinedNetworkExecutor, ScratchPool, TensorData,
 };
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
+use ios_bench::gate::{self, best_ms, chain_network, host_bar, host_cores};
+use ios_bench::{fmt3, render_table, BenchOptions};
 use ios_core::{plan_pipeline, sequential_network_schedule, PipelinePlan, ProfiledCostModel};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_ir::TensorShape;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Serialize)]
 struct Report {
@@ -69,55 +69,9 @@ struct Report {
     pass: bool,
 }
 
-/// A uniform stack of branchy blocks — deep enough to cut into balanced
-/// segments, heavy enough (≈ 10 MFLOP per block) that the per-segment
-/// hand-off is noise.
-fn pipeline_stack(blocks: usize) -> Network {
-    let input = TensorShape::new(1, 48, 14, 14);
-    let mut shape = input;
-    let mut out = Vec::with_capacity(blocks);
-    for i in 0..blocks {
-        let mut b = GraphBuilder::new(format!("pipe_stack_b{i}"), shape);
-        let x = b.input(0);
-        let a = b.conv2d(
-            format!("b{i}_a3"),
-            x,
-            Conv2dParams::relu(48, (3, 3), (1, 1), (1, 1)),
-        );
-        let c = b.conv2d(
-            format!("b{i}_c1"),
-            x,
-            Conv2dParams::relu(48, (1, 1), (1, 1), (0, 0)),
-        );
-        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
-        let r = b.conv2d(
-            format!("b{i}_r1"),
-            cat,
-            Conv2dParams::relu(48, (1, 1), (1, 1), (0, 0)),
-        );
-        let block = Block::new(b.build(vec![r]));
-        shape = block.graph.output_shapes()[0];
-        out.push(block);
-    }
-    Network::new("pipe_stack", input, out)
-}
-
-/// Best (minimum) wall time of `iters` runs of `f`, in milliseconds.
-fn best_ms(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 fn main() {
     let opts = BenchOptions::from_args();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let cores = host_cores();
     // The ragged batch: one more sample than the host has cores, so flat
     // execution pays a straggler round on every batch.
     let batch = cores + 1;
@@ -126,7 +80,10 @@ fn main() {
     let (warmup, repeats) = if opts.quick { (1, 2) } else { (1, 3) };
     let blocks = 8;
 
-    let net = pipeline_stack(blocks);
+    // A uniform stack of branchy blocks — deep enough to cut into
+    // balanced segments, heavy enough (≈ 10 MFLOP per block) that the
+    // per-segment hand-off is noise.
+    let net = chain_network(TensorShape::new(1, 48, 14, 14), blocks, true);
     let weights = NetworkWeights::precompute(&net);
 
     // Plan from block latencies measured under concurrent load: the
@@ -140,7 +97,7 @@ fn main() {
         repeats,
     );
     let schedule = sequential_network_schedule(&net, &cost);
-    let plan: PipelinePlan = plan_pipeline(&net, &schedule, &cost, cores, None);
+    let plan: PipelinePlan = plan_pipeline(&net, &schedule, &cost, cores);
     println!(
         "pipeline_gate: {} cores, batch {batch} ({} batches = {} samples streamed), plan {} \
          (period {:.0} µs, predicted {:.2}x vs flat, profiled under {} load workers, quick = {})",
@@ -240,17 +197,17 @@ fn main() {
     let speedup = flat_ms / pipelined_ms;
     let multi_core_bar = 1.15;
     let single_core_bar = 0.95;
-    let bar = if cores >= 2 {
-        multi_core_bar
-    } else {
-        println!(
-            "single-core host: between-block overlap cannot beat flat execution here; the \
-             planner's job is to fall back to the single-segment plan, so the gate enforces \
-             no-regression (>= {single_core_bar:.2}x). On hosts with >= 2 cores (CI) the bar \
-             is >= {multi_core_bar:.2}x."
-        );
-        single_core_bar
-    };
+    let bar = host_bar(
+        cores,
+        multi_core_bar,
+        single_core_bar,
+        &format!(
+            "between-block overlap cannot beat flat execution here; the planner's job is to \
+             fall back to the single-segment plan, so the gate enforces no-regression \
+             (>= {single_core_bar:.2}x). On hosts with >= 2 cores (CI) the bar is \
+             >= {multi_core_bar:.2}x."
+        ),
+    );
     let pass = speedup >= bar;
 
     println!(
@@ -275,7 +232,6 @@ fn main() {
             ]],
         )
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         host_parallelism: cores,
@@ -296,16 +252,5 @@ fn main() {
         multi_core_bar,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_pipeline.json", json) {
-                eprintln!("failed to write BENCH_pipeline.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_pipeline.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("pipeline", &opts, pass, &report);
 }

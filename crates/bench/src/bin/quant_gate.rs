@@ -1,7 +1,7 @@
 //! `quant_gate` — CI acceptance gate for epilogue fusion and the int8
 //! quantized execution path.
 //!
-//! On the serving-hot layer shapes of [`ios_bench::quant_bench_shapes`] —
+//! On the serving-hot layer shapes of [`ios_bench::gate::quant_bench_shapes`] —
 //! the backbone layers that actually carry epilogues — each run with a
 //! full bias + residual + ReLU epilogue:
 //!
@@ -35,24 +35,18 @@
 //! Speedups are medians of per-round paired ratios (the variants run
 //! adjacently within each round, so a noisy stretch on a shared host
 //! cancels out of the ratio); the reported per-variant times are
-//! best-of-N. A machine-readable report is always written to
-//! `BENCH_quant.json` (and additionally to `--json PATH` when given).
+//! best-of-N.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin quant_gate`
 //! (`--quick` lowers the iteration count; the shapes stay full-size).
 
 use ios_backend::gemm::{conv2d_im2col_packed_fused, conv2d_im2col_quant_fused};
-use ios_backend::ops_cpu::{conv2d_naive_quant, conv2d_packed_pooled, conv_weights};
+use ios_backend::ops_cpu::{conv2d_naive_quant, conv2d_packed_pooled};
 use ios_backend::simd::{self, Isa};
-use ios_backend::{
-    sample_scale, ConvEpilogue, PackedFilter, QuantizedFilter, ScratchPool, TensorData,
-};
-use ios_bench::{
-    fmt3, geomean, maybe_write_json, median, quant_bench_shapes, render_table, BenchOptions,
-};
-use ios_ir::{Activation, Conv2dParams};
+use ios_backend::{sample_scale, QuantizedFilter, ScratchPool};
+use ios_bench::gate::{self, interleaved, quant_bench_shapes};
+use ios_bench::{fmt3, geomean, render_table, BenchOptions};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
 struct QuantRow {
@@ -79,13 +73,6 @@ struct Report {
     fused_acceptance_bar: f64,
     int8_acceptance_bar: f64,
     pass: bool,
-}
-
-/// One timed call of `f`, in milliseconds.
-fn time_ms<O>(f: impl FnOnce() -> O) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -117,50 +104,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut calibration_ok = true;
     for case in &cases {
-        let input = TensorData::random(case.input, 7);
-        let in_c_per_group = case.input.channels / case.params.groups;
-        let weights = conv_weights(
-            11,
-            case.params.out_channels,
-            in_c_per_group,
-            case.params.kernel,
-        );
-        let k_len = in_c_per_group * case.params.kernel.0 * case.params.kernel.1;
-        let packed = PackedFilter::pack(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            k_len,
-        );
-        let quant = QuantizedFilter::quantize(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            k_len,
-        );
-
         // Epilogue operands: per-output-channel bias and a full residual
         // tensor, applied with ReLU — the serving-hot epilogue shape.
-        let plain = Conv2dParams {
-            activation: Activation::None,
-            ..case.params
-        };
+        let ops = case.operands();
+        let (input, plain, ep) = (&ops.input, &ops.plain, ops.epilogue());
         let out_channels = case.params.out_channels;
-        let bias = conv_weights(13, out_channels, 1, (1, 1));
-        let out_shape = {
-            let probe = conv2d_packed_pooled(&input, &plain, &packed, &arena);
-            let shape = probe.shape;
-            arena.recycle_tensor(probe);
-            shape
-        };
-        let residual = TensorData::random(out_shape, 17);
-        let plane = out_shape.height * out_shape.width;
-        let ep = ConvEpilogue {
-            input_relu: false,
-            bias: Some(&bias),
-            residual: Some(&residual),
-            relu: true,
-        };
+        let plane = ops.out_shape.height * ops.out_shape.width;
+        let quant =
+            QuantizedFilter::quantize(&ops.weights, out_channels, case.params.groups, ops.k_len);
 
         // PR-4 baseline: the packed kernel, then bias, residual-add and
         // ReLU the way the pre-fusion engine actually served them — as
@@ -168,10 +119,10 @@ fn main() {
         // writing a fresh arena tensor (the same arithmetic order the
         // fused store uses, so the bit-identity assert below holds).
         let run_baseline = || {
-            let conv = conv2d_packed_pooled(&input, &plain, &packed, &arena);
+            let conv = conv2d_packed_pooled(input, plain, &ops.packed, &arena);
             let mut biased = arena.take_tensor(conv.shape);
             for n in 0..conv.shape.batch {
-                for (oc, &bv) in bias.iter().enumerate() {
+                for (oc, &bv) in ops.bias.iter().enumerate() {
                     let start = (n * out_channels + oc) * plane;
                     let src = &conv.data[start..start + plane];
                     for (d, &v) in biased.data[start..start + plane].iter_mut().zip(src) {
@@ -181,7 +132,12 @@ fn main() {
             }
             arena.recycle_tensor(conv);
             let mut added = arena.take_tensor(biased.shape);
-            for ((d, &v), &r) in added.data.iter_mut().zip(&biased.data).zip(&residual.data) {
+            for ((d, &v), &r) in added
+                .data
+                .iter_mut()
+                .zip(&biased.data)
+                .zip(&ops.residual.data)
+            {
                 *d = v + r;
             }
             arena.recycle_tensor(biased);
@@ -192,8 +148,8 @@ fn main() {
             arena.recycle_tensor(added);
             out
         };
-        let run_fused = || conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena);
-        let run_int8 = || conv2d_im2col_quant_fused(&input, &plain, &quant, &ep, &arena);
+        let run_fused = || conv2d_im2col_packed_fused(input, plain, &ops.packed, &ep, &arena);
+        let run_int8 = || conv2d_im2col_quant_fused(input, plain, &quant, &ep, &arena);
 
         // The gate is only meaningful if fusion is exact.
         let baseline_out = run_baseline();
@@ -209,7 +165,7 @@ fn main() {
         // to the naive integer oracle on the cheapest one.
         let int8_out = run_int8();
         if case.name == oracle_shape {
-            let oracle = conv2d_naive_quant(&input, &plain, &quant, &ep);
+            let oracle = conv2d_naive_quant(input, plain, &quant, &ep);
             assert_eq!(
                 int8_out, oracle,
                 "{}: int8 fast path must be byte-identical to the naive oracle",
@@ -220,9 +176,9 @@ fn main() {
         let mut max_err = 0.0f64;
         let mut bound = 0.0f64;
         for oc in 0..out_channels {
-            let oc_bound = f64::from(k_len as f32 * s_in * quant.scales()[oc] * 128.0);
+            let oc_bound = f64::from(ops.k_len as f32 * s_in * quant.scales()[oc] * 128.0);
             bound = bound.max(oc_bound);
-            for n in 0..out_shape.batch {
+            for n in 0..ops.out_shape.batch {
                 let start = (n * out_channels + oc) * plane;
                 for i in 0..plane {
                     let d = f64::from((int8_out.data[start + i] - fused_out.data[start + i]).abs());
@@ -237,37 +193,24 @@ fn main() {
         arena.recycle_tensor(int8_out);
 
         // The variants are interleaved within every round, and each
-        // speedup is the *median of the per-round paired ratios*: a noisy
-        // stretch on the (shared) host covers a whole adjacent
-        // baseline/fused/int8 group, so the round's ratio stays clean
-        // even when its absolute times do not, and the median discards the
-        // rounds a burst split in half. The reported times are best-of-N.
-        // Baseline and barred-fused run at the pinned tier; the active-tier
-        // fused time and int8 run at the live dispatch.
-        let mut baseline_ms = f64::INFINITY;
-        let mut fused_ms = f64::INFINITY;
-        let mut fused_active_ms = f64::INFINITY;
-        let mut int8_ms = f64::INFINITY;
-        let mut fused_ratios = Vec::with_capacity(iters);
-        let mut int8_ratios = Vec::with_capacity(iters);
-        let mut active_ratios = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let b =
-                simd::with_forced_isa(pinned, || time_ms(|| arena.recycle_tensor(run_baseline())));
-            let f = simd::with_forced_isa(pinned, || time_ms(|| arena.recycle_tensor(run_fused())));
-            let fa = time_ms(|| arena.recycle_tensor(run_fused()));
-            let q = time_ms(|| arena.recycle_tensor(run_int8()));
-            baseline_ms = baseline_ms.min(b);
-            fused_ms = fused_ms.min(f);
-            fused_active_ms = fused_active_ms.min(fa);
-            int8_ms = int8_ms.min(q);
-            fused_ratios.push(b / f);
-            int8_ratios.push(f / q);
-            active_ratios.push(fa / q);
-        }
-        let fused_speedup = median(&mut fused_ratios);
-        let int8_speedup = median(&mut int8_ratios);
-        let int8_vs_active_fused = median(&mut active_ratios);
+        // speedup is the median of the per-round paired ratios; the
+        // reported times are best-of-N. Baseline and barred-fused run at
+        // the pinned tier; the active-tier fused time and int8 run at the
+        // live dispatch.
+        let rounds = interleaved(
+            iters,
+            &mut [
+                &mut || simd::with_forced_isa(pinned, || arena.recycle_tensor(run_baseline())),
+                &mut || simd::with_forced_isa(pinned, || arena.recycle_tensor(run_fused())),
+                &mut || arena.recycle_tensor(run_fused()),
+                &mut || arena.recycle_tensor(run_int8()),
+            ],
+        );
+        let [baseline_ms, fused_ms, fused_active_ms, int8_ms] =
+            [0, 1, 2, 3].map(|a| rounds.best_ms(a));
+        let fused_speedup = rounds.median_ratio(0, 1);
+        let int8_speedup = rounds.median_ratio(1, 3);
+        let int8_vs_active_fused = rounds.median_ratio(2, 3);
         rows.push(QuantRow {
             shape: case.name.to_string(),
             baseline_ms,
@@ -345,7 +288,6 @@ fn main() {
             "BOUND EXCEEDED"
         }
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         pinned_isa: pinned.name().to_string(),
@@ -358,16 +300,5 @@ fn main() {
         int8_acceptance_bar: int8_bar,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_quant.json", json) {
-                eprintln!("failed to write BENCH_quant.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_quant.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("quant", &opts, pass, &report);
 }

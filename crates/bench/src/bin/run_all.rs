@@ -2,7 +2,7 @@
 //! flags), so `cargo run --release -p ios-bench --bin run_all -- --quick`
 //! regenerates the whole evaluation.
 
-use std::process::Command;
+use std::process::{Command, ExitCode};
 
 const BINARIES: &[&str] = &[
     "fig1_trends",
@@ -21,7 +21,7 @@ const BINARIES: &[&str] = &[
     "fig16_blockwise",
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let forwarded: Vec<String> = std::env::args().skip(1).collect();
     let exe_dir = std::env::current_exe()
         .ok()
@@ -63,8 +63,9 @@ fn main() {
     }
     if failures.is_empty() {
         println!("\nall experiments completed");
+        ExitCode::SUCCESS
     } else {
         eprintln!("\nfailed experiments: {failures:?}");
-        std::process::exit(1);
+        ExitCode::FAILURE
     }
 }

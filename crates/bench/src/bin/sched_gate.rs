@@ -14,8 +14,8 @@
 //!   simulator, executed on the CPU) — quantifying what profiling on the
 //!   *actual* substrate is worth over optimizing for the wrong device.
 //!
-//! The profiled schedule must also preserve semantics (checked against
-//! sequential execution before timing, ≤ 1e-3 for padded-kernel merges).
+//! The profiled schedule must also preserve semantics: it is checked
+//! bit-identical to sequential execution before timing.
 //!
 //! The acceptance bar is host-aware, because inter-operator concurrency is
 //! a hardware property: on a host with ≥ 2 cores the profiled IOS schedule
@@ -26,8 +26,7 @@
 //! no-regression (geomean ≥ 0.95×) instead. The JSON report records which
 //! bar was enforced.
 //!
-//! A machine-readable report is always written to `BENCH_sched.json` (and
-//! additionally to `--json PATH` when given): per-block timings, the
+//! The report `BENCH_sched.json` holds per-block timings, the
 //! profiled-vs-simulated stage decompositions and whether they diverged —
 //! the README's "schedule divergence" table is generated from this.
 //!
@@ -38,7 +37,8 @@ use ios_backend::{
     execute_graph_pooled, execute_schedule_pooled, max_abs_difference, BlockWeights,
     CpuStageProfiler, ScratchPool, TensorData,
 };
-use ios_bench::{fmt3, geomean, maybe_write_json, render_table, BenchOptions};
+use ios_bench::gate::{self, best_ms, host_bar, host_cores};
+use ios_bench::{fmt3, geomean, render_table, BenchOptions};
 use ios_core::{
     schedule_graph, ParallelizationStrategy, ProfiledCostModel, Schedule, SchedulerConfig,
     SimCostModel,
@@ -78,17 +78,6 @@ struct Report {
     multi_core_bar: f64,
     diverged_blocks: usize,
     pass: bool,
-}
-
-/// Best (minimum) wall time of `iters` runs of `f`, in milliseconds.
-fn best_ms<O>(iters: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
 }
 
 /// A compact human-readable summary of a schedule's stage decomposition,
@@ -143,9 +132,7 @@ fn main() {
     } else {
         SchedulerConfig::paper_default().with_pruning(3, 6)
     };
-    let host_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let host_parallelism = host_cores();
     let cases = gate_blocks(opts.quick);
     println!(
         "sched_gate: {} blocks, profile policy {warmup}+{repeats} (median), best of {iters} \
@@ -180,8 +167,8 @@ fn main() {
             execute_schedule_pooled(graph, &ios.schedule, &inputs, &weights, &pool, true);
         let diff = max_abs_difference(&reference, &scheduled);
         assert!(
-            diff <= 1e-3,
-            "{name}: profiled schedule must preserve semantics (diff = {diff})"
+            diff == 0.0,
+            "{name}: profiled schedule must reproduce sequential execution exactly (diff = {diff})"
         );
         for t in reference.into_iter().chain(scheduled) {
             pool.recycle_tensor(t);
@@ -275,24 +262,23 @@ fn main() {
 
     let multi_core_bar = 1.10;
     let single_core_bar = 0.95;
-    let bar = if host_parallelism >= 2 {
-        multi_core_bar
-    } else {
-        println!(
-            "single-core host: inter-operator concurrency cannot beat sequential wall-clock \
-             here; the profiled model's job is to converge to (near-)sequential schedules, so \
-             the gate enforces no-regression (>= {single_core_bar:.2}x). On hosts with >= 2 \
-             cores (CI) the bar is >= {multi_core_bar:.2}x."
-        );
-        single_core_bar
-    };
+    let bar = host_bar(
+        host_parallelism,
+        multi_core_bar,
+        single_core_bar,
+        &format!(
+            "inter-operator concurrency cannot beat sequential wall-clock here; the profiled \
+             model's job is to converge to (near-)sequential schedules, so the gate enforces \
+             no-regression (>= {single_core_bar:.2}x). On hosts with >= 2 cores (CI) the bar \
+             is >= {multi_core_bar:.2}x."
+        ),
+    );
     let pass = mean_seq >= bar;
     println!(
         "geomean speedup vs sequential: {mean_seq:.3}x (enforced bar: >= {bar:.2}x); \
          vs sim-guided schedules: {mean_sim:.3}x; {diverged_blocks}/{} blocks diverged",
         rows.len()
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         rows,
@@ -304,16 +290,5 @@ fn main() {
         diverged_blocks,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_sched.json", json) {
-                eprintln!("failed to write BENCH_sched.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_sched.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("sched", &opts, pass, &report);
 }

@@ -25,7 +25,7 @@
 //! the same reason the paper's Figure 11 speedups shrink as batch grows.
 
 use ios_backend::TensorData;
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
+use ios_bench::{fmt3, gate, render_table, BenchOptions};
 use ios_serve::{MetricsSnapshot, ServeConfig, ServeEngine};
 use serde::Serialize;
 use std::time::Duration;
@@ -132,23 +132,15 @@ fn main() {
         )
     );
     println!("batched vs naive speedup: {speedup:.2}x (acceptance bar: >= 2.00x)");
-    if speedup >= 2.0 {
-        println!("RESULT: PASS");
-    } else {
-        println!("RESULT: FAIL");
-        std::process::exit(1);
-    }
 
     #[derive(Serialize)]
     struct Report {
         rows: Vec<ServeRow>,
         speedup: f64,
     }
-    maybe_write_json(
-        &opts,
-        &Report {
-            rows: vec![naive, batched],
-            speedup,
-        },
-    );
+    let report = Report {
+        rows: vec![naive, batched],
+        speedup,
+    };
+    gate::finish("serve_throughput", &opts, speedup >= 2.0, &report);
 }

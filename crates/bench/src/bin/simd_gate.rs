@@ -1,7 +1,7 @@
 //! `simd_gate` — CI acceptance gate for the explicit AVX2 f32 GEMM
 //! microkernels behind the runtime SIMD dispatch (`ios_backend::simd`).
 //!
-//! On the serving-hot layer shapes of [`ios_bench::simd_bench_shapes`],
+//! On the serving-hot layer shapes of [`ios_bench::gate::simd_bench_shapes`],
 //! each run with a full bias + residual + ReLU epilogue:
 //!
 //! 1. **Bit-identity across ISAs** — before any timing, the f32 GEMM
@@ -19,22 +19,17 @@
 //! variants run adjacently within each round, so a noisy stretch on a
 //! shared single-core CI host cancels out of the ratio, and the median
 //! discards the rounds a burst split in half); the reported per-variant
-//! times are best-of-N. A machine-readable report is always written to
-//! `BENCH_simd.json` (and additionally to `--json PATH` when given).
+//! times are best-of-N.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin simd_gate`
 //! (`--quick` lowers the round count; the shapes stay full-size).
 
 use ios_backend::gemm::conv2d_im2col_packed_fused;
-use ios_backend::ops_cpu::conv_weights;
 use ios_backend::simd::{self, Isa};
-use ios_backend::{ConvEpilogue, PackedFilter, ScratchPool, TensorData};
-use ios_bench::{
-    fmt3, geomean, maybe_write_json, median, render_table, simd_bench_shapes, BenchOptions,
-};
-use ios_ir::{Activation, Conv2dParams};
+use ios_backend::ScratchPool;
+use ios_bench::gate::{self, interleaved, simd_bench_shapes};
+use ios_bench::{fmt3, geomean, render_table, BenchOptions};
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
 struct SimdRow {
@@ -53,13 +48,6 @@ struct Report {
     acceptance_bar: f64,
     bit_identical: bool,
     pass: bool,
-}
-
-/// One timed call of `f`, in milliseconds.
-fn time_ms<O>(f: impl FnOnce() -> O) -> f64 {
-    let start = Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64() * 1e3
 }
 
 fn main() {
@@ -93,54 +81,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in &cases {
-        let input = TensorData::random(case.input, 7);
-        let in_c_per_group = case.input.channels / case.params.groups;
-        let weights = conv_weights(
-            11,
-            case.params.out_channels,
-            in_c_per_group,
-            case.params.kernel,
-        );
-        let k_len = in_c_per_group * case.params.kernel.0 * case.params.kernel.1;
-        let packed = PackedFilter::pack(
-            &weights,
-            case.params.out_channels,
-            case.params.groups,
-            k_len,
-        );
-
         // Full serving-hot epilogue so the vectorized store is on the
         // measured (and verified) path.
-        let plain = Conv2dParams {
-            activation: Activation::None,
-            ..case.params
-        };
-        let bias = conv_weights(13, case.params.out_channels, 1, (1, 1));
-        let out_shape = {
-            let probe = conv2d_im2col_packed_fused(
-                &input,
-                &plain,
-                &packed,
-                &ConvEpilogue::default(),
-                &arena,
-            );
-            let shape = probe.shape;
-            arena.recycle_tensor(probe);
-            shape
-        };
-        let residual = TensorData::random(out_shape, 17);
-        let ep = ConvEpilogue {
-            input_relu: false,
-            bias: Some(&bias),
-            residual: Some(&residual),
-            relu: true,
-        };
-
-        let run_at = |isa: Isa| {
-            simd::with_forced_isa(isa, || {
-                conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena)
-            })
-        };
+        let ops = case.operands();
+        let ep = ops.epilogue();
+        let run = || conv2d_im2col_packed_fused(&ops.input, &ops.plain, &ops.packed, &ep, &arena);
+        let run_at = |isa: Isa| simd::with_forced_isa(isa, run);
 
         // The gate is only meaningful if every ISA computes the same bits.
         let reference = run_at(Isa::Scalar);
@@ -157,23 +103,17 @@ fn main() {
 
         // Baseline and wide variants interleave within every round; the
         // speedup is the median of the per-round paired ratios and the
-        // reported times are best-of-N (same harness as quant_gate, so
-        // single-core CI hosts don't produce noisy verdicts).
-        let run_packed = || {
-            let out = conv2d_im2col_packed_fused(&input, &plain, &packed, &ep, &arena);
-            arena.recycle_tensor(out);
-        };
-        let mut baseline_ms = f64::INFINITY;
-        let mut wide_ms = f64::INFINITY;
-        let mut ratios = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let b = simd::with_forced_isa(baseline, || time_ms(run_packed));
-            let w = simd::with_forced_isa(active, || time_ms(run_packed));
-            baseline_ms = baseline_ms.min(b);
-            wide_ms = wide_ms.min(w);
-            ratios.push(b / w);
-        }
-        let speedup = median(&mut ratios);
+        // reported times are best-of-N.
+        let run_recycled = || arena.recycle_tensor(run());
+        let rounds = interleaved(
+            iters,
+            &mut [
+                &mut || simd::with_forced_isa(baseline, run_recycled),
+                &mut || simd::with_forced_isa(active, run_recycled),
+            ],
+        );
+        let (baseline_ms, wide_ms) = (rounds.best_ms(0), rounds.best_ms(1));
+        let speedup = rounds.median_ratio(0, 1);
         rows.push(SimdRow {
             shape: case.name.to_string(),
             baseline_ms,
@@ -206,7 +146,6 @@ fn main() {
     let mean = geomean(&speedups);
     let pass = mean >= bar;
     println!("geomean speedup: {mean:.3}x (acceptance bar: >= {bar:.2}x)");
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         active_isa: active.name().to_string(),
@@ -217,16 +156,5 @@ fn main() {
         bit_identical: true,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_simd.json", json) {
-                eprintln!("failed to write BENCH_simd.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_simd.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("simd", &opts, pass, &report);
 }

@@ -21,15 +21,15 @@
 //!   against the exact nearest-rank value of the sorted data, and also
 //!   requires the count and sum to match exactly.
 //!
-//! The JSON report (`BENCH_telemetry.json`, plus `--json PATH`) records
-//! every measured number behind both bars.
+//! The report records every measured number behind both bars.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin telemetry_gate`
 //! (`--quick` shortens the serving stream and the sampled workload).
 
 use ios_backend::TensorData;
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_bench::gate::{self, best_ms, chain_network};
+use ios_bench::{fmt3, render_table, BenchOptions};
+use ios_ir::{Network, TensorShape};
 use ios_serve::{ServeConfig, ServeEngine};
 use ios_telemetry::{tracer, Histogram, Tracer};
 use serde::Serialize;
@@ -67,24 +67,6 @@ struct Report {
     pass: bool,
 }
 
-/// A two-block branchy network — small enough that a closed-loop request
-/// completes in well under a millisecond, branchy enough that a request
-/// crosses every instrumentation lane (batcher, engine, executor stages).
-fn gate_network() -> Network {
-    let input = TensorShape::new(1, 8, 12, 12);
-    let mut b = GraphBuilder::new("telemetry_gate_b0", input);
-    let x = b.input(0);
-    let a = b.conv2d("a3", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
-    let c = b.conv2d("c1", x, Conv2dParams::relu(8, (1, 1), (1, 1), (0, 0)));
-    let cat = b.concat("cat", &[a, c]);
-    let block0 = Block::new(b.build(vec![cat]));
-    let mut b = GraphBuilder::with_inputs("telemetry_gate_b1", block0.graph.output_shapes());
-    let x = b.input(0);
-    let d = b.conv2d("d1", x, Conv2dParams::relu(8, (1, 1), (1, 1), (0, 0)));
-    let block1 = Block::new(b.build(vec![d]));
-    Network::new("telemetry_gate_net", input, vec![block0, block1])
-}
-
 /// Cost of one disabled span site: create + drop an inert guard. Best of
 /// `reps` tight loops, nanoseconds per site.
 fn disabled_site_cost_ns(iters: u64, reps: usize) -> f64 {
@@ -93,19 +75,17 @@ fn disabled_site_cost_ns(iters: u64, reps: usize) -> f64 {
     // without depending on global state.
     let t = Tracer::with_capacity(64);
     assert!(!t.is_enabled());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(t.span("gate.noop", "gate"));
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
+    let best_ns = 1e6
+        * best_ms(reps, || {
+            for _ in 0..iters {
+                std::hint::black_box(t.span("gate.noop", "gate"));
+            }
+        });
     assert!(
         t.records().is_empty(),
         "a disabled tracer must not record anything"
     );
-    best
+    best_ns / iters as f64
 }
 
 /// Serves `n` closed-loop requests (submit, wait, repeat) and returns the
@@ -151,7 +131,10 @@ fn main() {
     // --- Bar 1: disabled-tracer overhead on the serving hot loop --------
     let per_site_ns = disabled_site_cost_ns(site_iters, site_reps);
 
-    let network = gate_network();
+    // Two branchy blocks — small enough that a closed-loop request
+    // completes in well under a millisecond, branchy enough that a request
+    // crosses every instrumentation lane (batcher, engine, executor stages).
+    let network = chain_network(TensorShape::new(1, 8, 12, 12), 2, false);
     // max_batch 1: every request dispatches immediately, so the closed
     // loop times the per-request hot path, not the batcher's wait policy.
     let engine = ServeEngine::start(
@@ -265,7 +248,6 @@ fn main() {
                 .collect::<Vec<_>>(),
         )
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         requests,
@@ -281,16 +263,5 @@ fn main() {
         design_bound_pct,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_telemetry.json", json) {
-                eprintln!("failed to write BENCH_telemetry.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_telemetry.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("telemetry", &opts, pass, &report);
 }

@@ -17,15 +17,15 @@
 //!
 //! The gate also round-trips the engine's Prometheus exposition (now
 //! carrying `ios_tenant_*{tenant="…"}` labelled series) through the
-//! telemetry validator. The JSON report (`BENCH_tenant.json`, plus
-//! `--json PATH`) records every counter and bar.
+//! telemetry validator. The report records every counter and bar.
 //!
 //! Run with: `cargo run --release -p ios-bench --bin tenant_gate`
 //! (`--quick` shortens both phases for CI).
 
 use ios_backend::TensorData;
-use ios_bench::{fmt3, maybe_write_json, render_table, BenchOptions};
-use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_bench::gate::{self, chain_network, host_cores};
+use ios_bench::{fmt3, render_table, BenchOptions};
+use ios_ir::TensorShape;
 use ios_serve::{Rejected, ServeConfig, ServeEngine, ServeError, TenantConfig};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,34 +54,6 @@ struct Report {
     pass: bool,
 }
 
-/// The serving workload shared with `adapt_gate`: a three-block branchy
-/// stack heavy enough that execution dominates scheduling jitter, small
-/// enough that the gate finishes in seconds.
-fn gate_network() -> Network {
-    let input = TensorShape::new(1, 16, 12, 12);
-    let mut shape = input;
-    let mut blocks = Vec::with_capacity(3);
-    for i in 0..3 {
-        let mut b = GraphBuilder::new(format!("tenant_gate_b{i}"), shape);
-        let x = b.input(0);
-        let a = b.conv2d(
-            format!("b{i}_a3"),
-            x,
-            Conv2dParams::relu(16, (3, 3), (1, 1), (1, 1)),
-        );
-        let c = b.conv2d(
-            format!("b{i}_c1"),
-            x,
-            Conv2dParams::relu(16, (1, 1), (1, 1), (0, 0)),
-        );
-        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
-        let block = Block::new(b.build(vec![cat]));
-        shape = block.graph.output_shapes()[0];
-        blocks.push(block);
-    }
-    Network::new("tenant_gate_net", input, blocks)
-}
-
 fn tenant_completed(engine: &ServeEngine, tenant: &str) -> u64 {
     engine
         .metrics()
@@ -93,10 +65,9 @@ fn tenant_completed(engine: &ServeEngine, tenant: &str) -> u64 {
 
 fn main() {
     let opts = BenchOptions::from_args();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let net = gate_network();
+    let cores = host_cores();
+    // The serving workload of `adapt_gate`.
+    let net = chain_network(TensorShape::new(1, 16, 12, 12), 3, false);
     let fairness_target = if opts.quick { 240u64 } else { 600 };
     let quota_offers = if opts.quick { 60u64 } else { 120 };
 
@@ -263,7 +234,6 @@ fn main() {
             ]],
         )
     );
-    println!("RESULT: {}", if pass { "PASS" } else { "FAIL" });
 
     let report = Report {
         host_parallelism: cores,
@@ -283,16 +253,5 @@ fn main() {
         prometheus_series,
         pass,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_tenant.json", json) {
-                eprintln!("failed to write BENCH_tenant.json: {e}");
-            }
-        }
-        Err(e) => eprintln!("failed to serialize BENCH_tenant.json: {e}"),
-    }
-    maybe_write_json(&opts, &report);
-    if !pass {
-        std::process::exit(1);
-    }
+    gate::finish("tenant", &opts, pass, &report);
 }

@@ -205,8 +205,7 @@ fn best_partition(block_costs: &[f64], segments: usize) -> SegmentPlan {
 /// `schedule`, measuring each block with `cost_model` and optimizing the
 /// predicted steady-state period for `workers` stage workers.
 ///
-/// `max_segments` caps the partition granularity; the default
-/// (`None`) admits up to `2 × workers` segments — finer than the worker
+/// The plan has at most `2 × workers` segments — finer than the worker
 /// count so the bottleneck can be split below `total / workers`, but not
 /// so fine that hand-off overhead dominates.
 ///
@@ -223,14 +222,11 @@ pub fn plan_pipeline<C: CostModel>(
     schedule: &NetworkSchedule,
     cost_model: &C,
     workers: usize,
-    max_segments: Option<usize>,
 ) -> PipelinePlan {
     assert!(!network.blocks.is_empty(), "cannot plan an empty network");
     let workers = workers.max(1);
     let block_costs = network_block_costs(network, schedule, cost_model);
-    let limit = max_segments
-        .unwrap_or(2 * workers)
-        .clamp(1, network.blocks.len());
+    let limit = (2 * workers).min(network.blocks.len());
 
     let mut best: Option<PipelinePlan> = None;
     for s in 1..=limit {
@@ -283,7 +279,7 @@ mod tests {
         let net = chain_network(6, &[2]);
         let cost = UnitCostModel::default();
         let schedule = sequential_network_schedule(&net, &cost);
-        let plan = plan_pipeline(&net, &schedule, &cost, 1, None);
+        let plan = plan_pipeline(&net, &schedule, &cost, 1);
         assert!(
             plan.segments.is_flat(),
             "one core cannot pipeline: {plan:?}"
@@ -302,7 +298,7 @@ mod tests {
             ..UnitCostModel::default()
         };
         let schedule = sequential_network_schedule(&net, &cost);
-        let plan = plan_pipeline(&net, &schedule, &cost, 4, None);
+        let plan = plan_pipeline(&net, &schedule, &cost, 4);
         assert_eq!(plan.block_costs_us.len(), 8);
         assert!(
             plan.segments.num_segments() > 1,
@@ -323,7 +319,7 @@ mod tests {
         let net = chain_network(5, &[1, 1, 10, 1, 1]);
         let cost = UnitCostModel::default();
         let schedule = sequential_network_schedule(&net, &cost);
-        let plan = plan_pipeline(&net, &schedule, &cost, 4, None);
+        let plan = plan_pipeline(&net, &schedule, &cost, 4);
         let dominant = plan.block_costs_us[2];
         assert!(
             plan.bottleneck_us() < dominant * 1.5,
@@ -339,7 +335,7 @@ mod tests {
         let net = chain_network(4, &[2]);
         let cost = UnitCostModel::default();
         let schedule = sequential_network_schedule(&net, &cost);
-        let plan = plan_pipeline(&net, &schedule, &cost, 4, None);
+        let plan = plan_pipeline(&net, &schedule, &cost, 4);
         let total = plan.total_us();
         // batch 4 on 4 workers: one round.
         assert!((plan.flat_us_per_sample(4) - total / 4.0).abs() < 1e-9);
@@ -362,7 +358,7 @@ mod tests {
             ..UnitCostModel::default()
         };
         let schedule = sequential_network_schedule(&net, &cost);
-        let plan = plan_pipeline(&net, &schedule, &cost, 8, None);
+        let plan = plan_pipeline(&net, &schedule, &cost, 8);
         // Batch 8 over 8 flat workers is one perfect round: the pipeline
         // cannot beat it.
         assert!(!plan.prefers_pipeline(8), "plan: {plan:?}");
@@ -373,14 +369,5 @@ mod tests {
             plan.flat_us_per_sample_with(8, 2) > plan.flat_us_per_sample(8) * 3.9,
             "the capped flat path is ~4x slower per sample"
         );
-    }
-
-    #[test]
-    fn max_segments_caps_granularity() {
-        let net = chain_network(8, &[2]);
-        let cost = UnitCostModel::default();
-        let schedule = sequential_network_schedule(&net, &cost);
-        let plan = plan_pipeline(&net, &schedule, &cost, 4, Some(2));
-        assert!(plan.segments.num_segments() <= 2);
     }
 }

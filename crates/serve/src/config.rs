@@ -88,13 +88,6 @@ impl TenantsConfig {
         self.tenants.insert(name.into(), tenant);
         self
     }
-
-    /// Sets the fallback applied to tenants not explicitly configured.
-    #[must_use]
-    pub fn with_fallback(mut self, tenant: TenantConfig) -> Self {
-        self.fallback = tenant;
-        self
-    }
 }
 
 /// Which cost model the engine optimizes (and background re-optimizes)
@@ -220,9 +213,6 @@ pub struct ServeConfig {
     pub background_reoptimize: bool,
     /// Cross-block pipelined execution mode (see [`PipelineMode`]).
     pub pipeline: PipelineMode,
-    /// Cap on pipeline segment count; `None` lets the planner choose (up
-    /// to twice the host's cores).
-    pub pipeline_max_segments: Option<usize>,
     /// Weight precision the engine precomputes, profiles, and executes at.
     /// [`WeightPrecision::Int8`] runs convolution/pointwise stages through
     /// the quantized integer kernels (deterministic: byte-identical across
@@ -253,7 +243,6 @@ impl Default for ServeConfig {
             prewarm_batches: None,
             background_reoptimize: true,
             pipeline: PipelineMode::default(),
-            pipeline_max_segments: None,
             precision: WeightPrecision::default(),
             adapt: AdaptConfig::default(),
             tenants: TenantsConfig::default(),
@@ -340,14 +329,6 @@ impl ServeConfig {
         self
     }
 
-    /// Caps the number of pipeline segments the planner may choose.
-    #[must_use]
-    pub fn with_pipeline_max_segments(mut self, max_segments: usize) -> Self {
-        assert!(max_segments >= 1, "at least one segment is required");
-        self.pipeline_max_segments = Some(max_segments);
-        self
-    }
-
     /// Sets the weight precision the engine serves at.
     #[must_use]
     pub fn with_precision(mut self, precision: WeightPrecision) -> Self {
@@ -419,15 +400,6 @@ impl ServeConfig {
         self.tenants.tenants.insert(name.into(), tenant);
         self
     }
-
-    /// Sets the fallback admission parameters applied to every tenant not
-    /// explicitly configured (including the default tenant anonymous
-    /// traffic maps to).
-    #[must_use]
-    pub fn with_tenant_fallback(mut self, tenant: TenantConfig) -> Self {
-        self.tenants.fallback = tenant;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -444,7 +416,6 @@ mod tests {
             .with_background_reoptimize(false)
             .with_cost_model(CostModelKind::CpuProfiled)
             .with_pipeline(PipelineMode::Auto)
-            .with_pipeline_max_segments(4)
             .with_precision(WeightPrecision::Int8);
         assert_eq!(config.max_batch, 32);
         assert_eq!(config.precision, WeightPrecision::Int8);
@@ -454,7 +425,6 @@ mod tests {
             "f32 remains the default precision"
         );
         assert_eq!(config.pipeline, PipelineMode::Auto);
-        assert_eq!(config.pipeline_max_segments, Some(4));
         assert_eq!(
             ServeConfig::default().pipeline,
             PipelineMode::Off,

@@ -168,13 +168,7 @@ impl Shared {
                 SegmentPlan::even(self.base.blocks.len(), segments.max(1)),
                 stage_workers,
             ),
-            _ => plan_pipeline(
-                &self.base,
-                &schedule1,
-                &self.cost,
-                stage_workers,
-                self.config.pipeline_max_segments,
-            ),
+            _ => plan_pipeline(&self.base, &schedule1, &self.cost, stage_workers),
         })
     }
 
@@ -669,21 +663,6 @@ impl ServeEngine {
             input,
             self.shared.config.adapt.default_deadline,
         )
-    }
-
-    /// [`ServeEngine::submit_for_tenant`] with a per-request deadline
-    /// budget (see [`ServeEngine::submit_with_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeEngine::submit_for_tenant`].
-    pub fn submit_for_tenant_with_deadline(
-        &self,
-        tenant: impl Into<TenantId>,
-        input: TensorData,
-        budget: Duration,
-    ) -> Result<ResponseHandle, ServeError> {
-        self.submit_inner(tenant.into(), input, Some(budget))
     }
 
     /// Submits a request that is only worth answering for the next

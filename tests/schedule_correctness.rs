@@ -22,7 +22,7 @@ fn ios_schedules_for_squeezenet_blocks_preserve_semantics() {
         let result = schedule_graph(graph, &cost, &config);
         assert!(result.schedule.validate(graph).is_ok());
         let diff = verify_schedule(graph, &result.schedule, 0xF00D + idx as u64);
-        assert!(diff < 1e-3, "block {idx}: difference {diff}");
+        assert_eq!(diff, 0.0, "block {idx}");
     }
 }
 
@@ -42,7 +42,7 @@ fn merged_stages_preserve_semantics_on_figure2_block() {
         .iter()
         .any(|s| s.strategy == ParallelizationStrategy::OperatorMerge));
     let diff = verify_schedule(graph, &merge_only.schedule, 77);
-    assert!(diff < 1e-3, "difference {diff}");
+    assert_eq!(diff, 0.0);
 }
 
 /// Random layered graph generator for property tests: every operator picks
@@ -93,8 +93,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For random graphs: the IOS schedule is valid, never slower than the
-    /// sequential baseline under the same cost model, and numerically
-    /// equivalent to the reference execution.
+    /// sequential baseline under the same cost model, and bit-identical to
+    /// the reference execution.
     #[test]
     fn prop_ios_schedule_valid_fast_and_correct(seed in any::<u64>(), ops in 3usize..9) {
         let graph = arbitrary_graph(seed, ops);
@@ -107,10 +107,10 @@ proptest! {
         prop_assert!(result.latency_us <= sequential.total_measured_latency_us() + 1e-6);
 
         let diff = verify_schedule(&graph, &result.schedule, seed);
-        prop_assert!(diff < 1e-3, "difference {diff}");
+        prop_assert_eq!(diff, 0.0);
     }
 
-    /// The greedy baseline is always valid and also numerically equivalent.
+    /// The greedy baseline is always valid and also bit-identical.
     #[test]
     fn prop_greedy_schedule_valid_and_correct(seed in any::<u64>(), ops in 3usize..9) {
         let graph = arbitrary_graph(seed, ops);
@@ -118,6 +118,6 @@ proptest! {
         let schedule = greedy_schedule(&graph, &cost);
         prop_assert!(schedule.validate(&graph).is_ok());
         let diff = verify_schedule(&graph, &schedule, seed ^ 0xABC);
-        prop_assert!(diff < 1e-3, "difference {diff}");
+        prop_assert_eq!(diff, 0.0);
     }
 }
