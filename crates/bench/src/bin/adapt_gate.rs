@@ -32,7 +32,7 @@ use ios_backend::{execute_network, TensorData};
 use ios_bench::gate::{self, chain_network, host_bar, host_cores};
 use ios_bench::{fmt3, render_table, BenchOptions};
 use ios_ir::TensorShape;
-use ios_serve::{PipelineMode, Rejected, ServeConfig, ServeEngine, ServeError};
+use ios_serve::{InferenceResponse, PipelineMode, Rejected, ServeConfig, ServeEngine, ServeError};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +64,7 @@ fn main() {
     // A three-block branchy stack, heavy enough (16-channel 3×3 convs)
     // that execution time dominates scheduling jitter, small enough that
     // the gate finishes in seconds.
-    let net = chain_network(TensorShape::new(1, 16, 12, 12), 3, false);
+    let net = chain_network(TensorShape::new(1, 16, 12, 12), 3);
     let references: Vec<Vec<TensorData>> = (0..8)
         .map(|seed| {
             let input = TensorData::random(net.input_shape, seed);
@@ -122,17 +122,28 @@ fn main() {
     let engine = Arc::new(ServeEngine::start(net.clone(), config));
     let shed = Arc::new(AtomicU64::new(0));
     let accepted = Arc::new(AtomicU64::new(0));
-    let bitexact_checks = Arc::new(AtomicU64::new(0));
-    let bitexact_violations = Arc::new(AtomicU64::new(0));
+    let bitexact_checks = AtomicU64::new(0);
+    let bitexact_violations = AtomicU64::new(0);
+    // Counts one bit-identity check of a response against its seed's
+    // solo reference, and a violation when any output differs.
+    let verify = |response: &InferenceResponse, seed: u64| {
+        bitexact_checks.fetch_add(1, Ordering::SeqCst);
+        if response
+            .outputs
+            .iter()
+            .zip(&references[seed as usize])
+            .any(|(lease, reference)| lease != reference)
+        {
+            bitexact_violations.fetch_add(1, Ordering::SeqCst);
+        }
+    };
     std::thread::scope(|scope| {
         for client in 0..overload_clients as u64 {
             let engine = Arc::clone(&engine);
             let net = &net;
-            let references = &references;
+            let verify = &verify;
             let shed = Arc::clone(&shed);
             let accepted = Arc::clone(&accepted);
-            let checks = Arc::clone(&bitexact_checks);
-            let violations = Arc::clone(&bitexact_violations);
             scope.spawn(move || {
                 for round in 0..offers_per_client as u64 {
                     let seed = (client * 31 + round) % 8;
@@ -141,15 +152,7 @@ fn main() {
                             let response =
                                 handle.wait_outcome().expect("accepted requests complete");
                             accepted.fetch_add(1, Ordering::SeqCst);
-                            checks.fetch_add(1, Ordering::SeqCst);
-                            if response
-                                .outputs
-                                .iter()
-                                .zip(&references[seed as usize])
-                                .any(|(lease, reference)| lease != reference)
-                            {
-                                violations.fetch_add(1, Ordering::SeqCst);
-                            }
+                            verify(&response, seed);
                         }
                         Err(ServeError::Rejected(Rejected::Shed)) => {
                             shed.fetch_add(1, Ordering::SeqCst);
@@ -201,16 +204,10 @@ fn main() {
     let engine = ServeEngine::start(net.clone(), config);
     let check = |handles: Vec<ios_serve::ResponseHandle>, seeds: &[u64]| {
         for (handle, &seed) in handles.into_iter().zip(seeds) {
-            let response = handle.wait_outcome().expect("no deadline in this phase");
-            bitexact_checks.fetch_add(1, Ordering::SeqCst);
-            if response
-                .outputs
-                .iter()
-                .zip(&references[seed as usize])
-                .any(|(lease, reference)| lease != reference)
-            {
-                bitexact_violations.fetch_add(1, Ordering::SeqCst);
-            }
+            verify(
+                &handle.wait_outcome().expect("no deadline in this phase"),
+                seed,
+            );
         }
     };
     // Singles until the controller plans for batch 1, then bursts of 4

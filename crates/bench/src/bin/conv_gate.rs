@@ -97,8 +97,7 @@ fn main() {
         )
     );
 
-    let speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
-    let mean = geomean(&speedups);
+    let mean = geomean(rows.iter().map(|r| r.speedup));
     let bar = 3.0;
     let pass = mean >= bar;
     println!("geomean speedup: {mean:.2}x (acceptance bar: >= {bar:.2}x)");

@@ -35,7 +35,7 @@ use ios_backend::{
     execute_network_batched_capped, stack_batch, CpuStageProfiler, GroupMode, NetworkWeights,
     PipelinedNetworkExecutor, ScratchPool, TensorData,
 };
-use ios_bench::gate::{self, best_ms, chain_network, host_bar, host_cores};
+use ios_bench::gate::{self, best_ms, host_bar, host_cores, projected_chain_network};
 use ios_bench::{fmt3, render_table, BenchOptions};
 use ios_core::{plan_pipeline, sequential_network_schedule, PipelinePlan, ProfiledCostModel};
 use ios_ir::TensorShape;
@@ -83,7 +83,7 @@ fn main() {
     // A uniform stack of branchy blocks — deep enough to cut into
     // balanced segments, heavy enough (≈ 10 MFLOP per block) that the
     // per-segment hand-off is noise.
-    let net = chain_network(TensorShape::new(1, 48, 14, 14), blocks, true);
+    let net = projected_chain_network(TensorShape::new(1, 48, 14, 14), blocks);
     let weights = NetworkWeights::precompute(&net);
 
     // Plan from block latencies measured under concurrent load: the
@@ -132,17 +132,15 @@ fn main() {
         Arc::clone(&pipe_pool),
     );
 
+    let run_flat = |stacked: &TensorData| {
+        let inputs = std::slice::from_ref(stacked);
+        execute_network_batched_capped(&net, None, &weights, inputs, &flat_pool, usize::MAX)
+    };
+
     // The gate is only meaningful if the pipeline is correct: bit-identical
     // stacked outputs on every batch of the stream (also warms both pools).
     for stacked in &stacked_batches {
-        let flat = execute_network_batched_capped(
-            &net,
-            None,
-            &weights,
-            std::slice::from_ref(stacked),
-            &flat_pool,
-            usize::MAX,
-        );
+        let flat = run_flat(stacked);
         let piped = executor.execute_batch(None, std::slice::from_ref(stacked));
         assert_eq!(
             piped, flat,
@@ -160,15 +158,7 @@ fn main() {
     // full barrier between batches.
     let flat_ms = best_ms(iters, || {
         for stacked in &stacked_batches {
-            let outs = execute_network_batched_capped(
-                &net,
-                None,
-                &weights,
-                std::slice::from_ref(stacked),
-                &flat_pool,
-                usize::MAX,
-            );
-            for t in outs {
+            for t in run_flat(stacked) {
                 flat_pool.recycle_tensor(t);
             }
         }

@@ -260,14 +260,9 @@ fn main() {
         )
     );
 
-    let fused_mean = geomean(&rows.iter().map(|r| r.fused_speedup).collect::<Vec<_>>());
-    let int8_mean = geomean(&rows.iter().map(|r| r.int8_speedup).collect::<Vec<_>>());
-    let active_mean = geomean(
-        &rows
-            .iter()
-            .map(|r| r.int8_vs_active_fused)
-            .collect::<Vec<_>>(),
-    );
+    let fused_mean = geomean(rows.iter().map(|r| r.fused_speedup));
+    let int8_mean = geomean(rows.iter().map(|r| r.int8_speedup));
+    let active_mean = geomean(rows.iter().map(|r| r.int8_vs_active_fused));
     let fused_bar = 1.01;
     let int8_bar = 1.8;
     let pass = fused_mean >= fused_bar && int8_mean >= int8_bar && calibration_ok;

@@ -173,26 +173,21 @@ fn main() {
         for t in reference.into_iter().chain(scheduled) {
             pool.recycle_tensor(t);
         }
+        let run = |schedule: &Schedule| {
+            for t in execute_schedule_pooled(graph, schedule, &inputs, &weights, &pool, true) {
+                pool.recycle_tensor(t);
+            }
+        };
         // Warm the sim-guided path's merged-weight cache too.
-        for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, &weights, &pool, true) {
-            pool.recycle_tensor(t);
-        }
+        run(&sim.schedule);
 
         let seq_ms = best_ms(iters, || {
             for t in execute_graph_pooled(graph, &inputs, &weights, &pool) {
                 pool.recycle_tensor(t);
             }
         });
-        let ios_ms = best_ms(iters, || {
-            for t in execute_schedule_pooled(graph, &ios.schedule, &inputs, &weights, &pool, true) {
-                pool.recycle_tensor(t);
-            }
-        });
-        let sim_guided_ms = best_ms(iters, || {
-            for t in execute_schedule_pooled(graph, &sim.schedule, &inputs, &weights, &pool, true) {
-                pool.recycle_tensor(t);
-            }
-        });
+        let ios_ms = best_ms(iters, || run(&ios.schedule));
+        let sim_guided_ms = best_ms(iters, || run(&sim.schedule));
 
         let cpu_decomposition = decomposition(&ios.schedule);
         let sim_decomposition = decomposition(&sim.schedule);
@@ -254,10 +249,8 @@ fn main() {
         )
     );
 
-    let vs_seq: Vec<f64> = rows.iter().map(|r| r.speedup_vs_seq).collect();
-    let vs_sim: Vec<f64> = rows.iter().map(|r| r.speedup_vs_sim_guided).collect();
-    let mean_seq = geomean(&vs_seq);
-    let mean_sim = geomean(&vs_sim);
+    let mean_seq = geomean(rows.iter().map(|r| r.speedup_vs_seq));
+    let mean_sim = geomean(rows.iter().map(|r| r.speedup_vs_sim_guided));
     let diverged_blocks = rows.iter().filter(|r| r.diverged).count();
 
     let multi_core_bar = 1.10;

@@ -142,8 +142,7 @@ fn main() {
         )
     );
 
-    let speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
-    let mean = geomean(&speedups);
+    let mean = geomean(rows.iter().map(|r| r.speedup));
     let pass = mean >= bar;
     println!("geomean speedup: {mean:.3}x (acceptance bar: >= {bar:.2}x)");
 

@@ -27,9 +27,9 @@
 //! (`--quick` shortens the serving stream and the sampled workload).
 
 use ios_backend::TensorData;
-use ios_bench::gate::{self, best_ms, chain_network};
+use ios_bench::gate::{self, best_ms};
 use ios_bench::{fmt3, render_table, BenchOptions};
-use ios_ir::{Network, TensorShape};
+use ios_ir::{Block, Conv2dParams, GraphBuilder, Network, TensorShape};
 use ios_serve::{ServeConfig, ServeEngine};
 use ios_telemetry::{tracer, Histogram, Tracer};
 use serde::Serialize;
@@ -65,6 +65,24 @@ struct Report {
     /// The histogram's design bound (1/64), percent, for reference.
     design_bound_pct: f64,
     pass: bool,
+}
+
+/// A two-block branchy network — small enough that a closed-loop request
+/// completes in well under a millisecond, branchy enough that a request
+/// crosses every instrumentation lane (batcher, engine, executor stages).
+fn gate_network() -> Network {
+    let input = TensorShape::new(1, 8, 12, 12);
+    let mut b = GraphBuilder::new("telemetry_gate_b0", input);
+    let x = b.input(0);
+    let a = b.conv2d("a3", x, Conv2dParams::relu(8, (3, 3), (1, 1), (1, 1)));
+    let c = b.conv2d("c1", x, Conv2dParams::relu(8, (1, 1), (1, 1), (0, 0)));
+    let cat = b.concat("cat", &[a, c]);
+    let block0 = Block::new(b.build(vec![cat]));
+    let mut b = GraphBuilder::with_inputs("telemetry_gate_b1", block0.graph.output_shapes());
+    let x = b.input(0);
+    let d = b.conv2d("d1", x, Conv2dParams::relu(8, (1, 1), (1, 1), (0, 0)));
+    let block1 = Block::new(b.build(vec![d]));
+    Network::new("telemetry_gate_net", input, vec![block0, block1])
 }
 
 /// Cost of one disabled span site: create + drop an inert guard. Best of
@@ -131,10 +149,7 @@ fn main() {
     // --- Bar 1: disabled-tracer overhead on the serving hot loop --------
     let per_site_ns = disabled_site_cost_ns(site_iters, site_reps);
 
-    // Two branchy blocks — small enough that a closed-loop request
-    // completes in well under a millisecond, branchy enough that a request
-    // crosses every instrumentation lane (batcher, engine, executor stages).
-    let network = chain_network(TensorShape::new(1, 8, 12, 12), 2, false);
+    let network = gate_network();
     // max_batch 1: every request dispatches immediately, so the closed
     // loop times the per-request hot path, not the batcher's wait policy.
     let engine = ServeEngine::start(

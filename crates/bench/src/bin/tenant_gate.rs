@@ -67,7 +67,7 @@ fn main() {
     let opts = BenchOptions::from_args();
     let cores = host_cores();
     // The serving workload of `adapt_gate`.
-    let net = chain_network(TensorShape::new(1, 16, 12, 12), 3, false);
+    let net = chain_network(TensorShape::new(1, 16, 12, 12), 3);
     let fairness_target = if opts.quick { 240u64 } else { 600 };
     let quota_offers = if opts.quick { 60u64 } else { 120 };
 

@@ -10,7 +10,7 @@
 use crate::BenchOptions;
 use ios_backend::ops_cpu::conv_weights;
 use ios_backend::{ConvEpilogue, PackedFilter, TensorData};
-use ios_ir::{Activation, Block, Conv2dParams, GraphBuilder, Network, TensorShape};
+use ios_ir::{Activation, Block, Conv2dParams, GraphBuilder, Network, TensorShape, Value};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -134,12 +134,29 @@ pub(crate) fn write_json<T: Serialize>(path: &Path, value: &T) {
     }
 }
 
-/// A branchy chain of `blocks` blocks over `input`: each block runs a 3×3
-/// and a 1×1 convolution side by side and concatenates them, followed by
-/// a 1×1 projection back to the input's channel count when `project` is
-/// set (which keeps every block's input shape equal).
+/// A chain of `blocks` branchy blocks over `input`: each block runs a 3×3
+/// and a 1×1 convolution side by side and concatenates them.
 #[must_use]
-pub fn chain_network(input: TensorShape, blocks: usize, project: bool) -> Network {
+pub fn chain_network(input: TensorShape, blocks: usize) -> Network {
+    chain(input, blocks, |_, _, cat| cat)
+}
+
+/// [`chain_network`] with a 1×1 projection back to the input's channel
+/// count closing every block, so every block keeps the input's shape.
+#[must_use]
+pub fn projected_chain_network(input: TensorShape, blocks: usize) -> Network {
+    let project = Conv2dParams::relu(input.channels, (1, 1), (1, 1), (0, 0));
+    chain(input, blocks, |b, i, cat| {
+        b.conv2d(format!("b{i}_r1"), cat, project)
+    })
+}
+
+/// The chain builder: each block's 3×3‖1×1 concat goes through `tail`.
+fn chain(
+    input: TensorShape,
+    blocks: usize,
+    tail: impl Fn(&mut GraphBuilder, usize, Value) -> Value,
+) -> Network {
     let channels = input.channels;
     let mut shape = input;
     let mut out = Vec::with_capacity(blocks);
@@ -156,14 +173,8 @@ pub fn chain_network(input: TensorShape, blocks: usize, project: bool) -> Networ
             x,
             Conv2dParams::relu(channels, (1, 1), (1, 1), (0, 0)),
         );
-        let mut y = b.concat(format!("b{i}_cat"), &[a, c]);
-        if project {
-            y = b.conv2d(
-                format!("b{i}_r1"),
-                y,
-                Conv2dParams::relu(channels, (1, 1), (1, 1), (0, 0)),
-            );
-        }
+        let cat = b.concat(format!("b{i}_cat"), &[a, c]);
+        let y = tail(&mut b, i, cat);
         let block = Block::new(b.build(vec![y]));
         shape = block.graph.output_shapes()[0];
         out.push(block);
@@ -341,7 +352,7 @@ pub fn quant_bench_shapes() -> Vec<ConvCase> {
 /// `k`, the tile-bound case the AVX2 kernel targets), a strided
 /// downsample, a bottleneck pointwise (pure GEMM), and a compact
 /// Inception 3×3 so small-`m` layers with edge tiles stay visible. Like
-/// the pack/quant sets, never scaled down in quick mode — that would
+/// the quant set, never scaled down in quick mode — that would
 /// shift the compute-vs-traffic regime; `simd_gate --quick` reduces the
 /// round count instead.
 #[must_use]
@@ -468,10 +479,10 @@ mod tests {
     #[test]
     fn chain_network_keeps_the_projected_shape() {
         let input = TensorShape::new(1, 16, 12, 12);
-        let net = chain_network(input, 3, false);
+        let net = chain_network(input, 3);
         assert_eq!(net.blocks.len(), 3);
         assert_eq!(net.blocks[2].graph.output_shapes()[0].channels, 32);
-        let net = chain_network(input, 2, true);
+        let net = projected_chain_network(input, 2);
         assert_eq!(net.blocks[1].graph.output_shapes()[0], input);
     }
 }

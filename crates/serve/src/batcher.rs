@@ -255,7 +255,7 @@ impl BatchQueue {
     }
 
     /// A queue admitting per the given tenant configuration (weights, rate
-    /// limits); unknown tenants get the fallback.
+    /// limits); unknown tenants get [`TenantConfig::default`].
     pub fn with_tenants(tenants: TenantsConfig) -> Self {
         BatchQueue {
             state: Mutex::new(QueueState::default()),

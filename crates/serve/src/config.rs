@@ -25,15 +25,19 @@ pub struct TenantConfig {
 
 impl Default for TenantConfig {
     fn default() -> Self {
-        TenantConfig {
-            weight: 1,
-            rate: None,
-            burst: 8.0,
-        }
+        TenantConfig::UNCONFIGURED
     }
 }
 
 impl TenantConfig {
+    /// Weight 1 and no rate limit: the admission parameters of every
+    /// tenant without an explicit entry.
+    const UNCONFIGURED: TenantConfig = TenantConfig {
+        weight: 1,
+        rate: None,
+        burst: 8.0,
+    };
+
     /// A tenant with the given WFQ weight (no rate limit).
     ///
     /// # Panics
@@ -63,23 +67,24 @@ impl TenantConfig {
 }
 
 /// Per-tenant admission configuration: named tenants with explicit
-/// [`TenantConfig`]s, plus the config any *unknown* tenant (including the
-/// default tenant anonymous traffic maps to) falls back on.
+/// [`TenantConfig`]s. Any *unknown* tenant (including the default tenant
+/// anonymous traffic maps to) gets [`TenantConfig::default`]: weight 1, no
+/// rate limit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantsConfig {
     /// Explicitly configured tenants, by name. (A `BTreeMap` so exports
     /// and shares iterate deterministically.)
     pub tenants: BTreeMap<String, TenantConfig>,
-    /// Fallback for tenants not in the map.
-    pub fallback: TenantConfig,
 }
 
 impl TenantsConfig {
-    /// The admission parameters for `tenant`: its explicit entry, or the
-    /// fallback.
+    /// The admission parameters for `tenant`: its explicit entry, or
+    /// [`TenantConfig::default`].
     #[must_use]
     pub fn for_tenant(&self, tenant: &str) -> &TenantConfig {
-        self.tenants.get(tenant).unwrap_or(&self.fallback)
+        self.tenants
+            .get(tenant)
+            .unwrap_or(&TenantConfig::UNCONFIGURED)
     }
 
     /// Adds (or replaces) one named tenant's admission parameters.
